@@ -1,25 +1,16 @@
-// Ablation + parallel scaling — Apriori support-counting backends.
+// Parallel scaling of Apriori's support counting.
 //
 // Step 4 of Algorithm 9 ("evaluate q against the database") dominates the
-// cost of levelwise mining; this harness measures it two ways.
-//
-// Part 1 — backend ablation on the same candidates:
-//   * tidsets    — per-candidate bitmap AND of the join parents' covers;
-//   * hash-tree  — the original [2] backend: one database scan per level
-//                  through the candidate hash tree;
-//   * horizontal — one database scan per candidate (naive).
-// All three produce identical theories (asserted), so the table is purely
-// about time, swept over database size and density.
-//
-// Part 2 — thread-count sweep (1/2/4/8) of each backend's per-level batch
-// on a large Quest workload (>= 100k transactions).  The whole level is
-// one EvaluateBatch, so the candidates split into deterministic chunks and
-// the result must be bit-for-bit identical at every thread count: frequent
-// sets, supports, borders, AND the query tally (Theorem 10: exactly
-// |Th| + |Bd-| support computations) are asserted equal against the
-// 1-thread run.  Alongside the printed tables the harness emits
-// machine-readable BENCH_counting.json so future revisions have a perf
-// trajectory to diff against.
+// cost of levelwise mining.  Apriori counts each candidate as the bitmap
+// AND of its two join parents' tidsets; this harness sweeps that per-level
+// batch over 1/2/4/8 threads on a large Quest workload (>= 100k
+// transactions).  The whole level is one ParallelFor, so the candidates
+// split into deterministic chunks and the result must be bit-for-bit
+// identical at every thread count: frequent sets, supports, borders, AND
+// the query tally (Theorem 10: exactly |Th| + |Bd-| support computations)
+// are asserted equal against the 1-thread run.  Alongside the printed
+// table the harness emits machine-readable BENCH_counting.json so future
+// revisions have a perf trajectory to diff against.
 
 #include <iostream>
 #include <sstream>
@@ -32,7 +23,6 @@
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
-#include "core/theory.h"
 #include "mining/apriori.h"
 #include "mining/generators.h"
 #include "obs/metrics.h"
@@ -41,29 +31,13 @@ namespace {
 
 using namespace hgm;
 
-const char* ModeName(SupportCountingMode mode) {
-  switch (mode) {
-    case SupportCountingMode::kTidsets:
-      return "tidsets";
-    case SupportCountingMode::kHorizontal:
-      return "horizontal";
-    case SupportCountingMode::kHashTree:
-      return "hashtree";
-  }
-  return "?";
-}
-
 /// One measured run, serialized into the JSON report.
 struct RunRecord {
-  std::string section;  // "ablation" or "thread_sweep"
-  std::string backend;
   size_t rows = 0, items = 0, minsup = 0, threads = 0;
   size_t frequent = 0, negative_border = 0;
   uint64_t support_counts = 0;
   double ms = 0.0;
-  bool agree = true;  // identical to the section's reference run
-  // Telemetry (thread-sweep runs only; metrics are on during the sweep).
-  bool has_telemetry = false;
+  bool identical = true;  // identical to the 1-thread reference run
   uint64_t pool_busy_us = 0;
   uint64_t pool_batches = 0;
   double pool_utilization = 0.0;  // busy time / (wall time * lanes)
@@ -77,19 +51,15 @@ std::string RunsJson(const std::vector<RunRecord>& records) {
   out << "[\n";
   for (size_t i = 0; i < records.size(); ++i) {
     const RunRecord& r = records[i];
-    out << "      {\"section\": \"" << r.section << "\", \"backend\": \""
-        << r.backend << "\", \"rows\": " << r.rows << ", \"items\": "
-        << r.items << ", \"minsup\": " << r.minsup << ", \"threads\": "
-        << r.threads << ", \"frequent\": " << r.frequent
+    out << "      {\"rows\": " << r.rows << ", \"items\": " << r.items
+        << ", \"minsup\": " << r.minsup << ", \"threads\": " << r.threads
+        << ", \"frequent\": " << r.frequent
         << ", \"negative_border\": " << r.negative_border
         << ", \"support_counts\": " << r.support_counts << ", \"ms\": "
-        << r.ms << ", \"agree\": " << (r.agree ? "true" : "false");
-    if (r.has_telemetry) {
-      out << ", \"telemetry\": {\"pool_busy_us\": " << r.pool_busy_us
-          << ", \"pool_batches\": " << r.pool_batches
-          << ", \"pool_utilization\": " << r.pool_utilization << "}";
-    }
-    out << "}" << (i + 1 < records.size() ? "," : "") << "\n";
+        << r.ms << ", \"identical\": " << (r.identical ? "true" : "false")
+        << ", \"telemetry\": {\"pool_busy_us\": " << r.pool_busy_us
+        << ", \"pool_batches\": " << r.pool_batches
+        << ", \"pool_utilization\": " << r.pool_utilization << "}}" << (i + 1 < records.size() ? "," : "") << "\n";
   }
   out << "    ]";
   return out.str();
@@ -116,73 +86,7 @@ int main(int argc, char** argv) {
   int failures = 0;
   StopWatch watch;  // one shared watch; every timing below is a Lap pair
 
-  // ---- Part 1: backend ablation (sequential, as in the seed). ----------
-  std::cout << "=== ablation: Apriori support counting "
-               "(tidsets / hash-tree / horizontal) ===\n";
-  TablePrinter t({"|D|", "n", "minsup", "|Th|", "tidsets ms",
-                  "hashtree ms", "horizontal ms", "agree"});
-  Rng rng(41);
-
-  struct Case {
-    size_t rows, items;
-    double avg_size;
-    size_t minsup;
-  };
-  ThreadPool sequential(1);
-  for (const Case& c :
-       {Case{500, 40, 6, 15}, Case{2000, 60, 8, 60},
-        Case{5000, 80, 8, 150}, Case{10000, 100, 10, 300},
-        Case{20000, 150, 10, 600}}) {
-    QuestParams params;
-    params.num_transactions = c.rows;
-    params.num_items = c.items;
-    params.avg_transaction_size = c.avg_size;
-    TransactionDatabase db = GenerateQuest(params, &rng);
-
-    auto run = [&](SupportCountingMode mode, double* ms) {
-      AprioriOptions opts;
-      opts.counting = mode;
-      opts.pool = &sequential;
-      watch.Lap();  // discard setup time; the next lap is the run alone
-      AprioriResult r = MineFrequentSets(&db, c.minsup, opts);
-      *ms = watch.LapMillis();
-      records.push_back({"ablation", ModeName(mode), c.rows, c.items,
-                         c.minsup, 1, r.frequent.size(),
-                         r.negative_border.size(), r.support_counts.load(),
-                         *ms, true});
-      return r;
-    };
-    double tid_ms, tree_ms, hor_ms;
-    AprioriResult tid = run(SupportCountingMode::kTidsets, &tid_ms);
-    AprioriResult tree = run(SupportCountingMode::kHashTree, &tree_ms);
-    AprioriResult hor = run(SupportCountingMode::kHorizontal, &hor_ms);
-    bool agree = tid.frequent.size() == tree.frequent.size() &&
-                 tid.frequent.size() == hor.frequent.size() &&
-                 SameFamily(tid.maximal, tree.maximal) &&
-                 SameFamily(tid.maximal, hor.maximal);
-    if (!agree) ++failures;
-    t.NewRow()
-        .Add(c.rows)
-        .Add(c.items)
-        .Add(c.minsup)
-        .Add(tid.frequent.size())
-        .Add(tid_ms, 2)
-        .Add(tree_ms, 2)
-        .Add(hor_ms, 2)
-        .Add(agree ? "yes" : "NO");
-  }
-  t.Print();
-  std::cout << "\nshape: tidset intersection wins by a wide margin — "
-               "word-parallel bitmap\nANDs beat per-row work.  The hash "
-               "tree (the 1994 design point, built for\ndisk-resident "
-               "data and sparse id-list rows) loses to the plain "
-               "horizontal\nscan here because our rows are packed "
-               "bitsets, making the naive subset\ntest itself "
-               "word-parallel while tree traversal pays per-item "
-               "overhead.\n";
-
-  // ---- Part 2: thread-count sweep on a >= 100k-transaction workload. ---
-  std::cout << "\n=== thread sweep: per-level counting batch, "
+  std::cout << "=== thread sweep: per-level counting batch, "
                "|D| = 100000 ===\n";
   QuestParams big;
   big.num_transactions = 100000;
@@ -192,81 +96,66 @@ int main(int argc, char** argv) {
   TransactionDatabase big_db = GenerateQuest(big, &big_rng);
   const size_t big_minsup = 2500;
 
-  TablePrinter sweep({"backend", "threads", "|Th|", "|Bd-|", "queries",
+  TablePrinter sweep({"threads", "|Th|", "|Bd-|", "queries",
                       "ms", "speedup", "util", "identical"});
   // Metrics stay on for the sweep so each run's pool-utilization figure
   // (busy worker time / wall time / lanes) lands in the JSON telemetry
   // section; the registry is reset per run to keep figures per-run.
   obs::EnableMetrics(true);
   const size_t kThreads[] = {1, 2, 4, 8};
-  for (SupportCountingMode mode :
-       {SupportCountingMode::kTidsets, SupportCountingMode::kHorizontal,
-        SupportCountingMode::kHashTree}) {
-    AprioriResult reference;
-    double base_ms = 0;
-    for (size_t threads : kThreads) {
-      ThreadPool pool(threads);
-      AprioriOptions opts;
-      opts.counting = mode;
-      opts.pool = &pool;
-      obs::MetricsRegistry::Global().Reset();
-      watch.Lap();
-      AprioriResult r = MineFrequentSets(&big_db, big_minsup, opts);
-      double ms = watch.LapMillis();
-      obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
-      const uint64_t busy_us = snap.CounterValue("pool.busy_us");
-      const double util =
-          ms > 0 ? static_cast<double>(busy_us) /
-                       (ms * 1000.0 * static_cast<double>(threads))
-                 : 0.0;
+  AprioriResult reference;
+  double base_ms = 0;
+  for (size_t threads : kThreads) {
+    ThreadPool pool(threads);
+    AprioriOptions opts;
+    opts.pool = &pool;
+    obs::MetricsRegistry::Global().Reset();
+    watch.Lap();
+    AprioriResult r = MineFrequentSets(&big_db, big_minsup, opts);
+    double ms = watch.LapMillis();
+    obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
+    const uint64_t busy_us = snap.CounterValue("pool.busy_us");
+    const double util =
+        ms > 0 ? static_cast<double>(busy_us) /
+                     (ms * 1000.0 * static_cast<double>(threads))
+               : 0.0;
 
-      bool identical = true;
-      if (threads == 1) {
-        reference = std::move(r);
-        base_ms = ms;
-        // Theorem 10: one support computation per candidate.
-        if (reference.support_counts.load() !=
-            reference.frequent.size() +
-                reference.negative_border.size()) {
-          identical = false;
-        }
-      } else {
-        identical = SameFrequent(reference, r);
+    bool identical = true;
+    if (threads == 1) {
+      reference = std::move(r);
+      base_ms = ms;
+      // Theorem 10: one support computation per candidate.
+      if (reference.support_counts.load() !=
+          reference.frequent.size() + reference.negative_border.size()) {
+        identical = false;
       }
-      if (!identical) ++failures;
-      const AprioriResult& shown = threads == 1 ? reference : r;
-      sweep.NewRow()
-          .Add(ModeName(mode))
-          .Add(threads)
-          .Add(shown.frequent.size())
-          .Add(shown.negative_border.size())
-          .Add(shown.support_counts.load())
-          .Add(ms, 2)
-          .Add(base_ms / ms, 2)
-          .Add(util, 2)
-          .Add(identical ? "yes" : "NO");
-      RunRecord rec{"thread_sweep",       ModeName(mode),
-                    big.num_transactions, big.num_items,
-                    big_minsup,           threads,
-                    shown.frequent.size(),
-                    shown.negative_border.size(),
-                    shown.support_counts.load(),
-                    ms,
-                    identical};
-      rec.has_telemetry = true;
-      rec.pool_busy_us = busy_us;
-      rec.pool_batches = snap.CounterValue("pool.batches");
-      rec.pool_utilization = util;
-      records.push_back(rec);
+    } else {
+      identical = SameFrequent(reference, r);
     }
+    if (!identical) ++failures;
+    const AprioriResult& shown = threads == 1 ? reference : r;
+    sweep.NewRow()
+        .Add(threads)
+        .Add(shown.frequent.size())
+        .Add(shown.negative_border.size())
+        .Add(shown.support_counts.load())
+        .Add(ms, 2)
+        .Add(base_ms / ms, 2)
+        .Add(util, 2)
+        .Add(identical ? "yes" : "NO");
+    records.push_back({big.num_transactions, big.num_items, big_minsup,
+                       threads, shown.frequent.size(),
+                       shown.negative_border.size(),
+                       shown.support_counts.load(), ms, identical, busy_us,
+                       snap.CounterValue("pool.batches"), util});
   }
   sweep.Print();
-  std::cout << "\nEvery level is submitted as one EvaluateBatch; chunk "
-               "boundaries depend only\non (|level|, threads), partial "
-               "counts reduce in chunk order, so output,\nsupports, and "
-               "the Theorem-10 query tally are identical at every "
-               "thread\ncount (asserted above).  Speedup tracks the "
-               "machine's core count.\n";
+  std::cout << "\nEvery level is counted as one ParallelFor; each "
+               "candidate writes its own\nslot, so output, supports, and "
+               "the Theorem-10 query tally are identical\nat every thread "
+               "count (asserted above).  Only that batch is parallel: "
+               "the join and the\nmaximal-set sweep run serially and cap "
+               "the speedup.\n";
 
   harness.AddPayload("runs", RunsJson(records));
   std::cout << (failures == 0 ? "ALL RUNS AGREE\n" : "MISMATCH\n");

@@ -56,6 +56,13 @@ void BenchHarness::AddPayload(const std::string& key,
 }
 
 int BenchHarness::Finish(int failures) {
+  if (failures != 0) {
+    // A run that failed its own checks must not leave an artifact that
+    // could pass for (or overwrite) a committed baseline.
+    std::cerr << report_.name << ": " << failures
+              << " check(s) failed; not writing " << out_path_ << "\n";
+    return 1;
+  }
   const auto elapsed = std::chrono::steady_clock::now() - start_;
   report_.wall_ms =
       std::chrono::duration<double, std::milli>(elapsed).count();
@@ -82,7 +89,7 @@ int BenchHarness::Finish(int failures) {
     std::cout << "\nwrote " << out_path_ << " (hgm.run_report schema v"
               << obs::RunReport::kSchemaVersion << ")\n";
   }
-  return failures == 0 ? 0 : 1;
+  return 0;
 }
 
 }  // namespace bench

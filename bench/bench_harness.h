@@ -55,10 +55,12 @@ class BenchHarness {
   /// JSON value (array, object, number...), inserted verbatim.
   void AddPayload(const std::string& key, const std::string& raw_json);
 
-  /// Stamps wall clock, metrics snapshot, memory, tracer phase totals,
-  /// and the flight ring into the envelope, writes it to out_path(), and
-  /// prints a one-line note.  Returns \p failures == 0 ? 0 : 1 so benches
-  /// can `return harness.Finish(failures);`.
+  /// With \p failures == 0: stamps wall clock, metrics snapshot, memory,
+  /// tracer phase totals, and the flight ring into the envelope, writes it
+  /// to out_path(), prints a one-line note, and returns 0.  Otherwise
+  /// writes nothing (an existing file at out_path() stays as it was),
+  /// says so on stderr, and returns 1.  Benches end with
+  /// `return harness.Finish(failures);`.
   int Finish(int failures);
 
  private:

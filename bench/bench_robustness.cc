@@ -195,13 +195,13 @@ int main(int argc, char** argv) {
   Rng da_rng(7);
   TransactionDatabase da_db = GenerateQuest(da_params, &da_rng);
   const size_t da_minsup = 60;
-  FrequencyOracle da_clean_oracle(&da_db, da_minsup, true, &sequential);
+  FrequencyOracle da_clean_oracle(&da_db, da_minsup, &sequential);
   DualizeAdvanceResult da_clean = RunDualizeAdvance(&da_clean_oracle);
   for (double rate : {0.0, 0.01, 0.10}) {
     ChaosRecord rec;
     rec.engine = "dualize_advance";
     rec.rate = rate;
-    FrequencyOracle inner(&da_db, da_minsup, true, &sequential);
+    FrequencyOracle inner(&da_db, da_minsup, &sequential);
     FaultSpec spec;
     spec.transient_rate = rate;
     spec.seed = 42;

@@ -21,14 +21,25 @@ namespace hgm {
 
 using ItemVec = std::vector<uint32_t>;
 
+/// A (k+1)-candidate and the two k-sets it was joined from, as indices
+/// into the generating level (parent_i < parent_j).  Apriori intersects
+/// the parents' covers to count the candidate; the other callers only
+/// read `items`.
+struct AprioriCandidate {
+  ItemVec items;
+  size_t parent_i = 0;
+  size_t parent_j = 0;
+};
+
 /// Joins lexicographically sorted k-sets sharing a (k-1)-prefix and prunes
-/// candidates with a non-interesting k-subset.  \p level must be sorted and
-/// contain sets of equal size k >= 1; \p level_set must contain exactly the
-/// Bitset forms of \p level.  Returns sorted (k+1)-candidates.
-inline std::vector<ItemVec> AprioriGen(
+/// candidates with a non-interesting k-subset.  \p level must be sorted,
+/// duplicate-free and contain sets of equal size k >= 1; \p level_set must
+/// contain exactly the Bitset forms of \p level.  The join walks \p level
+/// in order, so the (k+1)-candidates come out sorted and duplicate-free.
+inline std::vector<AprioriCandidate> AprioriGen(
     const std::vector<ItemVec>& level,
     const std::unordered_set<Bitset, BitsetHash>& level_set, size_t n) {
-  std::vector<ItemVec> candidates;
+  std::vector<AprioriCandidate> candidates;
   if (level.empty()) return candidates;
   const size_t k = level[0].size();
   for (size_t i = 0; i < level.size(); ++i) {
@@ -49,20 +60,18 @@ inline std::vector<ItemVec> AprioriGen(
         }
         ok = level_set.contains(Bitset::FromIndices(n, sub));
       }
-      if (ok) candidates.push_back(std::move(cand));
+      if (ok) candidates.push_back({std::move(cand), i, j});
     }
   }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
   return candidates;
 }
 
-/// All singleton candidates {0}, ..., {n-1} (level-1 seeding).
-inline std::vector<ItemVec> SingletonCandidates(size_t n) {
-  std::vector<ItemVec> out;
+/// All singleton candidates {0}, ..., {n-1} (level-1 seeding).  Each one
+/// extends the only level-0 set, ∅, so both parents are index 0.
+inline std::vector<AprioriCandidate> SingletonCandidates(size_t n) {
+  std::vector<AprioriCandidate> out;
   out.reserve(n);
-  for (uint32_t v = 0; v < n; ++v) out.push_back(ItemVec{v});
+  for (uint32_t v = 0; v < n; ++v) out.push_back({ItemVec{v}, 0, 0});
   return out;
 }
 

@@ -127,7 +127,7 @@ LevelwiseResult RunLevels(InterestingnessOracle* oracle,
         static_cast<int64_t>(k + 1),
         static_cast<int64_t>(state.level.size()));
     (void)obs::SampleMemory();
-    std::vector<ItemVec> candidates;
+    std::vector<AprioriCandidate> candidates;
     if (k == 0) {
       candidates = SingletonCandidates(n);
     } else {
@@ -145,8 +145,8 @@ LevelwiseResult RunLevels(InterestingnessOracle* oracle,
     std::vector<Bitset> batch;
     batch.reserve(candidates.size());
     uint64_t batch_bytes = 0;
-    for (const auto& cand : candidates) {
-      batch.push_back(Bitset::FromIndices(n, cand));
+    for (const AprioriCandidate& cand : candidates) {
+      batch.push_back(Bitset::FromIndices(n, cand.items));
       batch_bytes += (n + 7) / 8;
     }
     // Pre-batch budget check: candidate generation touched no data, so a
@@ -172,7 +172,7 @@ LevelwiseResult RunLevels(InterestingnessOracle* oracle,
     for (size_t c = 0; c < candidates.size(); ++c) {
       if (verdicts[c]) {
         if (state.record_theory) result.theory.push_back(batch[c]);
-        next.push_back(std::move(candidates[c]));
+        next.push_back(std::move(candidates[c].items));
       } else {
         result.negative_border.push_back(std::move(batch[c]));
       }

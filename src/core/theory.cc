@@ -58,9 +58,9 @@ std::vector<Bitset> NegativeBorderViaGeneration(const std::vector<Bitset>& s,
   }
   for (size_t k = 1; k <= max_k; ++k) {
     if (levels[k].empty()) break;  // downward closed: nothing above either
-    std::vector<ItemVec> cands = AprioriGen(levels[k], level_sets[k], n);
-    for (const ItemVec& cand : cands) {
-      Bitset x = Bitset::FromIndices(n, cand);
+    for (const AprioriCandidate& cand :
+         AprioriGen(levels[k], level_sets[k], n)) {
+      Bitset x = Bitset::FromIndices(n, cand.items);
       if (!level_sets[k + 1].contains(x)) border.push_back(std::move(x));
     }
   }

@@ -92,19 +92,18 @@ KeyMiningResult KeysLevelwisePartitions(const RelationInstance& r) {
     return result;
   }
 
-  struct LevelEntry {
-    ItemVec items;
-    StrippedPartition partition;
-  };
-  // Level 1.
-  std::vector<LevelEntry> level;
+  // Level 1: `level` holds the non-key sets in sorted order, and
+  // partitions[i] is the stripped partition of level[i].
+  std::vector<ItemVec> level;
+  std::vector<StrippedPartition> partitions;
   for (size_t a = 0; a < n; ++a) {
     ++result.queries;
     StrippedPartition p = StrippedPartition::ForAttribute(r, a);
     if (p.IsSuperkeyPartition()) {
       result.minimal_keys.push_back(Bitset::Singleton(n, a));
     } else {
-      level.push_back({ItemVec{static_cast<uint32_t>(a)}, std::move(p)});
+      level.push_back(ItemVec{static_cast<uint32_t>(a)});
+      partitions.push_back(std::move(p));
     }
   }
   if (level.empty() && result.minimal_keys.empty()) {
@@ -117,47 +116,31 @@ KeyMiningResult KeysLevelwisePartitions(const RelationInstance& r) {
   }
 
   std::vector<Bitset> maximal_non_keys;
-  for (size_t k = 1; !level.empty(); ++k) {
+  while (!level.empty()) {
     std::unordered_set<Bitset, BitsetHash> level_set;
-    for (const auto& e : level) {
-      level_set.insert(Bitset::FromIndices(n, e.items));
+    for (const ItemVec& items : level) {
+      level_set.insert(Bitset::FromIndices(n, items));
     }
-    std::vector<LevelEntry> next;
-    for (size_t i = 0; i < level.size(); ++i) {
-      for (size_t j = i + 1; j < level.size(); ++j) {
-        if (!std::equal(level[i].items.begin(), level[i].items.end() - 1,
-                        level[j].items.begin())) {
-          break;
-        }
-        ItemVec cand = level[i].items;
-        cand.push_back(level[j].items.back());
-        if (cand[k - 1] > cand[k]) std::swap(cand[k - 1], cand[k]);
-        bool ok = true;
-        for (size_t drop = 0; ok && drop + 2 <= cand.size(); ++drop) {
-          ItemVec sub;
-          for (size_t t = 0; t < cand.size(); ++t) {
-            if (t != drop) sub.push_back(cand[t]);
-          }
-          ok = level_set.contains(Bitset::FromIndices(n, sub));
-        }
-        if (!ok) continue;
-        ++result.queries;
-        StrippedPartition p =
-            level[i].partition.Product(level[j].partition, rows);
-        Bitset x = Bitset::FromIndices(n, cand);
-        if (p.IsSuperkeyPartition()) {
-          result.minimal_keys.push_back(std::move(x));
-        } else {
-          next.push_back({std::move(cand), std::move(p)});
-        }
+    std::vector<ItemVec> next;
+    std::vector<StrippedPartition> next_partitions;
+    // A candidate's partition is the product of its two join parents'.
+    for (AprioriCandidate& cand : AprioriGen(level, level_set, n)) {
+      ++result.queries;
+      StrippedPartition p = partitions[cand.parent_i].Product(
+          partitions[cand.parent_j], rows);
+      if (p.IsSuperkeyPartition()) {
+        result.minimal_keys.push_back(Bitset::FromIndices(n, cand.items));
+      } else {
+        next.push_back(std::move(cand.items));
+        next_partitions.push_back(std::move(p));
       }
     }
     // Maximal non-key collection (mirrors RunLevelwise's diff sweep).
-    for (size_t i = 0; i < level.size(); ++i) {
-      Bitset x = Bitset::FromIndices(n, level[i].items);
+    for (const ItemVec& items : level) {
+      Bitset x = Bitset::FromIndices(n, items);
       bool covered = false;
-      for (const auto& e : next) {
-        if (x.IsSubsetOf(Bitset::FromIndices(n, e.items))) {
+      for (const ItemVec& e : next) {
+        if (x.IsSubsetOf(Bitset::FromIndices(n, e))) {
           covered = true;
           break;
         }
@@ -165,6 +148,7 @@ KeyMiningResult KeysLevelwisePartitions(const RelationInstance& r) {
       if (!covered) maximal_non_keys.push_back(std::move(x));
     }
     level = std::move(next);
+    partitions = std::move(next_partitions);
   }
   AntichainMaximize(&maximal_non_keys);
   CanonicalSort(&maximal_non_keys);

@@ -41,7 +41,7 @@ Hypergraph LevelwiseTransversals::Compute(const Hypergraph& h) {
     assert(k <= max_level_ && "levelwise exceeded max_level cap");
     levels_ = k;
     // Generate candidates of size k+1.
-    std::vector<ItemVec> candidates;
+    std::vector<AprioriCandidate> candidates;
     if (k == 0) {
       candidates = SingletonCandidates(n);
     } else {
@@ -58,8 +58,8 @@ Hypergraph LevelwiseTransversals::Compute(const Hypergraph& h) {
     // Is-transversal checks; each query is still charged (Theorem 10).
     std::vector<Bitset> batch;
     batch.reserve(candidates.size());
-    for (const auto& cand : candidates) {
-      batch.push_back(Bitset::FromIndices(n, cand));
+    for (const AprioriCandidate& cand : candidates) {
+      batch.push_back(Bitset::FromIndices(n, cand.items));
     }
     queries_ += batch.size();
     stats_.checks += batch.size();
@@ -75,7 +75,7 @@ Hypergraph LevelwiseTransversals::Compute(const Hypergraph& h) {
     std::vector<ItemVec> next;
     for (size_t c = 0; c < candidates.size(); ++c) {
       if (interesting[c]) {
-        next.push_back(std::move(candidates[c]));
+        next.push_back(std::move(candidates[c].items));
       } else {
         // A transversal whose every immediate subset is a non-transversal:
         // by downward closure of non-transversality, x is minimal.

@@ -8,7 +8,6 @@
 #include "common/apriori_gen.h"
 #include "core/audit.h"
 #include "core/theory.h"
-#include "mining/hash_tree.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
@@ -17,14 +16,6 @@
 namespace hgm {
 
 namespace {
-
-/// A frequent set at the current level: sorted items + cover bitmap over
-/// rows (cover only maintained in tidset mode).
-struct LevelEntry {
-  ItemVec items;
-  Bitset cover;  // rows containing `items`
-  size_t support = 0;
-};
 
 void SortFrequent(std::vector<FrequentItemset>* frequent) {
   std::sort(frequent->begin(), frequent->end(),
@@ -37,9 +28,10 @@ void SortFrequent(std::vector<FrequentItemset>* frequent) {
 
 /// Mutable miner state at a level boundary.
 struct AprioriState {
-  AprioriResult result;           // accumulating (unsorted) output
-  std::vector<LevelEntry> level;  // frequent sets of size next_level - 1
-  std::vector<Bitset> maximal;    // no frequent superset found yet
+  AprioriResult result;         // accumulating (unsorted) output
+  std::vector<ItemVec> level;   // frequent sets of size next_level - 1
+  std::vector<Bitset> covers;   // covers[i]: rows containing level[i]
+  std::vector<Bitset> maximal;  // no frequent superset found yet
   /// Size of the candidate sets to count next; 1 means the item scan is
   /// still pending (frontier empty), k >= 2 means k-sets are pending.
   size_t next_level = 1;
@@ -48,7 +40,7 @@ struct AprioriState {
 };
 
 /// Freezes \p state into a kind="apriori" checkpoint.  Covers are not
-/// stored — tidset-mode resume rebuilds them from the database.
+/// stored — resume rebuilds them from the database.
 Checkpoint MakeAprioriCheckpoint(const AprioriState& state, size_t n) {
   Checkpoint cp;
   cp.kind = "apriori";
@@ -59,8 +51,9 @@ Checkpoint MakeAprioriCheckpoint(const AprioriState& state, size_t n) {
   cp.SetScalar("record_all", state.record_all ? 1 : 0);
   std::vector<CheckpointEntry>* frontier = cp.AddSection("frontier");
   frontier->reserve(state.level.size());
-  for (const LevelEntry& e : state.level) {
-    frontier->push_back({Bitset::FromIndices(n, e.items), e.support});
+  for (size_t i = 0; i < state.level.size(); ++i) {
+    frontier->push_back(
+        {Bitset::FromIndices(n, state.level[i]), state.covers[i].Count()});
   }
   AddSetSection(&cp, "maximal", state.maximal);
   AddSetSection(&cp, "negative_border", state.result.negative_border);
@@ -87,8 +80,8 @@ AprioriResult FinishPartial(AprioriState&& state, size_t n,
   result.stop_reason = reason;
   result.checkpoint = std::move(cp);
   std::vector<Bitset> maximal = std::move(state.maximal);
-  for (const LevelEntry& e : state.level) {
-    maximal.push_back(Bitset::FromIndices(n, e.items));
+  for (const ItemVec& items : state.level) {
+    maximal.push_back(Bitset::FromIndices(n, items));
   }
   // A pre-item-scan trip knows only that ∅ is frequent.
   if (maximal.empty() && !result.frequent_per_level.empty() &&
@@ -116,11 +109,11 @@ AprioriResult RunAprioriLevels(TransactionDatabase* db,
   const size_t n = db->num_items();
   const size_t min_support = state.min_support;
   ThreadPool* pool = PoolOrGlobal(options.pool);
-  const bool tidsets = options.counting == SupportCountingMode::kTidsets;
   AprioriResult& result = state.result;
   BudgetTracker tracker(options.budget, result.support_counts);
 
-  std::vector<LevelEntry>& level = state.level;
+  std::vector<ItemVec>& level = state.level;
+  std::vector<Bitset>& covers = state.covers;
   std::vector<Bitset>& maximal = state.maximal;
 
   // Level 1: items.
@@ -144,11 +137,8 @@ AprioriResult RunAprioriLevels(TransactionDatabase* db,
       size_t support = cover.Count();
       Bitset x = Bitset::Singleton(n, item);
       if (support >= min_support) {
-        LevelEntry e;
-        e.items = ItemVec{static_cast<uint32_t>(item)};
-        if (tidsets) e.cover = std::move(cover);
-        e.support = support;
-        level.push_back(std::move(e));
+        level.push_back(ItemVec{static_cast<uint32_t>(item)});
+        covers.push_back(std::move(cover));
         ++kept;
         if (state.record_all) result.frequent.push_back({x, support});
       } else {
@@ -182,38 +172,12 @@ AprioriResult RunAprioriLevels(TransactionDatabase* db,
     (void)obs::SampleMemory();
     // Membership set for the prune step.
     std::unordered_set<Bitset, BitsetHash> level_set;
-    for (const auto& e : level) {
-      level_set.insert(Bitset::FromIndices(n, e.items));
+    for (const ItemVec& items : level) {
+      level_set.insert(Bitset::FromIndices(n, items));
     }
-
-    // Join + prune: collect the level's candidates with their parents.
-    struct Candidate {
-      ItemVec items;
-      size_t parent_i, parent_j;
-    };
-    std::vector<Candidate> candidates;
-    for (size_t i = 0; i < level.size(); ++i) {
-      for (size_t j = i + 1; j < level.size(); ++j) {
-        if (!std::equal(level[i].items.begin(), level[i].items.end() - 1,
-                        level[j].items.begin())) {
-          break;  // sorted level: prefix blocks are contiguous
-        }
-        ItemVec cand = level[i].items;
-        cand.push_back(level[j].items.back());
-        if (cand[k - 1] > cand[k]) std::swap(cand[k - 1], cand[k]);
-        // Prune: every k-subset must be frequent.
-        bool ok = true;
-        for (size_t drop = 0; ok && drop + 2 <= cand.size(); ++drop) {
-          ItemVec sub;
-          sub.reserve(k);
-          for (size_t t = 0; t < cand.size(); ++t) {
-            if (t != drop) sub.push_back(cand[t]);
-          }
-          ok = level_set.contains(Bitset::FromIndices(n, sub));
-        }
-        if (ok) candidates.push_back({std::move(cand), i, j});
-      }
-    }
+    // Join + prune; each candidate keeps its two join parents' indices.
+    std::vector<AprioriCandidate> candidates =
+        AprioriGen(level, level_set, n);
 
     // Pre-batch budget check: the join is pure, so a trip here discards
     // the candidates and the resumed run regenerates them bit-identically.
@@ -223,63 +187,35 @@ AprioriResult RunAprioriLevels(TransactionDatabase* db,
       return FinishPartial(std::move(state), n, pre);
     }
 
-    // Count supports with the selected backend.  Each backend evaluates
-    // the level's candidates as one parallel batch; all are deterministic
-    // at any thread count (index-addressed writes or per-chunk partial
-    // counts reduced in chunk order).
+    // Count the level as one parallel batch: each candidate ANDs its two
+    // join parents' covers into its own slot, so the result is the same at
+    // any thread count.
     std::vector<size_t> supports(candidates.size(), 0);
-    std::vector<Bitset> covers;
-    switch (options.counting) {
-      case SupportCountingMode::kTidsets:
-        // Parallel across candidates: each AND-and-counts its two join
-        // parents' covers independently into its own slot.
-        covers.assign(candidates.size(), Bitset());
-        pool->ParallelFor(
-            candidates.size(), [&](size_t begin, size_t end, size_t) {
-              for (size_t c = begin; c < end; ++c) {
-                covers[c] = level[candidates[c].parent_i].cover &
-                            level[candidates[c].parent_j].cover;
-                supports[c] = covers[c].Count();
-              }
-            });
-        break;
-      case SupportCountingMode::kHorizontal: {
-        // Parallel across transactions: chunked scan with per-candidate
-        // partial counts reduced per chunk.
-        std::vector<Bitset> cand_sets;
-        cand_sets.reserve(candidates.size());
-        for (const auto& c : candidates) {
-          cand_sets.push_back(Bitset::FromIndices(n, c.items));
-        }
-        supports = db->CountSupportsHorizontal(cand_sets, pool);
-        break;
-      }
-      case SupportCountingMode::kHashTree: {
-        std::vector<ItemVec> cand_items;
-        cand_items.reserve(candidates.size());
-        for (const auto& c : candidates) cand_items.push_back(c.items);
-        supports = CountSupportsHashTree(cand_items, *db, 8, pool);
-        break;
-      }
-    }
+    std::vector<Bitset> cand_covers(candidates.size());
+    pool->ParallelFor(
+        candidates.size(), [&](size_t begin, size_t end, size_t) {
+          for (size_t c = begin; c < end; ++c) {
+            cand_covers[c] = covers[candidates[c].parent_i] &
+                             covers[candidates[c].parent_j];
+            supports[c] = cand_covers[c].Count();
+          }
+        });
     result.support_counts += candidates.size();
     tracker.ChargeQueries(candidates.size());
 
-    std::vector<LevelEntry> next;
+    std::vector<ItemVec> next;
+    std::vector<Bitset> next_covers;
     std::vector<uint8_t> extended(level.size(), 0);
     for (size_t c = 0; c < candidates.size(); ++c) {
       Bitset x = Bitset::FromIndices(n, candidates[c].items);
       if (supports[c] >= min_support) {
         extended[candidates[c].parent_i] = 1;
         extended[candidates[c].parent_j] = 1;
-        LevelEntry e;
-        e.items = std::move(candidates[c].items);
-        if (tidsets) e.cover = std::move(covers[c]);
-        e.support = supports[c];
         if (state.record_all) {
           result.frequent.push_back({x, supports[c]});
         }
-        next.push_back(std::move(e));
+        next.push_back(std::move(candidates[c].items));
+        next_covers.push_back(std::move(cand_covers[c]));
       } else {
         result.negative_border.push_back(std::move(x));
       }
@@ -298,10 +234,10 @@ AprioriResult RunAprioriLevels(TransactionDatabase* db,
     if (options.compute_maximal) {
       for (size_t i = 0; i < level.size(); ++i) {
         if (extended[i]) continue;
-        Bitset x = Bitset::FromIndices(n, level[i].items);
+        Bitset x = Bitset::FromIndices(n, level[i]);
         bool covered = false;
-        for (const auto& e : next) {
-          if (x.IsSubsetOf(Bitset::FromIndices(n, e.items))) {
+        for (const ItemVec& items : next) {
+          if (x.IsSubsetOf(Bitset::FromIndices(n, items))) {
             covered = true;
             break;
           }
@@ -310,12 +246,13 @@ AprioriResult RunAprioriLevels(TransactionDatabase* db,
       }
     }
     level = std::move(next);
+    covers = std::move(next_covers);
   }
   // Sets remaining when the loop exits via the max_level cap are maximal
   // within the truncated lattice.
   if (options.compute_maximal) {
-    for (const auto& e : level) {
-      maximal.push_back(Bitset::FromIndices(n, e.items));
+    for (const ItemVec& items : level) {
+      maximal.push_back(Bitset::FromIndices(n, items));
     }
     AntichainMaximize(&maximal);
     CanonicalSort(&maximal);
@@ -393,11 +330,11 @@ Result<AprioriResult> ResumeFrequentSets(TransactionDatabase* db,
   }
   state.record_all = checkpoint.GetScalar("record_all", &v) ? v != 0 : true;
 
-  const bool tidsets = options.counting == SupportCountingMode::kTidsets;
   const std::vector<CheckpointEntry>* frontier =
       checkpoint.FindSection("frontier");
   if (frontier != nullptr) {
     state.level.reserve(frontier->size());
+    state.covers.reserve(frontier->size());
     for (const CheckpointEntry& e : *frontier) {
       if (e.items.size() != n) {
         return Status::InvalidArgument(
@@ -409,24 +346,21 @@ Result<AprioriResult> ResumeFrequentSets(TransactionDatabase* db,
             std::to_string(e.items.Count()) + " ahead of level " +
             std::to_string(state.next_level));
       }
-      LevelEntry entry;
+      ItemVec items;
       for (size_t i : e.items.Indices()) {
-        entry.items.push_back(static_cast<uint32_t>(i));
+        items.push_back(static_cast<uint32_t>(i));
       }
-      entry.support = static_cast<size_t>(e.value);
-      if (tidsets) {
-        // Rebuild the cover from the database (covers are not
-        // checkpointed); these reads are not support computations, so
-        // the query tally stays bit-identical to an uninterrupted run.
-        Bitset cover;
-        bool first = true;
-        for (uint32_t item : entry.items) {
-          cover = first ? db->ItemCover(item) : (cover & db->ItemCover(item));
-          first = false;
-        }
-        entry.cover = std::move(cover);
+      // Rebuild the cover from the database (covers are not
+      // checkpointed); these reads are not support computations, so the
+      // query tally stays bit-identical to an uninterrupted run.
+      Bitset cover;
+      bool first = true;
+      for (uint32_t item : items) {
+        cover = first ? db->ItemCover(item) : (cover & db->ItemCover(item));
+        first = false;
       }
-      state.level.push_back(std::move(entry));
+      state.level.push_back(std::move(items));
+      state.covers.push_back(std::move(cover));
     }
   }
   Status s = ReadSetSection(checkpoint, "maximal", n, &state.maximal);

@@ -3,13 +3,16 @@
 /// \file apriori.h
 /// \brief Apriori: the levelwise algorithm specialized to frequent sets.
 ///
-/// This is the practical miner of [1, 2]: candidate generation via the
-/// prefix join + subset prune (which never touches the data; the paper
-/// notes it takes "a negligible amount of time"), and support counting via
-/// tidset-bitmap intersection, where each candidate's cover is the AND of
-/// its two join parents' covers.  The generic, oracle-counted form of the
-/// same algorithm is core/levelwise.h; this one additionally reports exact
-/// supports for rule generation.
+/// This is the practical miner of [1, 2]: candidate generation via
+/// common/apriori_gen.h's prefix join + subset prune (which never touches
+/// the data; the paper notes it takes "a negligible amount of time"), and
+/// support counting via tidset-bitmap intersection, where each candidate's
+/// cover is the AND of its two join parents' covers (Eclat-style; memory
+/// ~ |level| * |rows|/8).  Tidsets are the only counting backend: the
+/// candidate hash tree of [2] and a horizontal scan lost to them on every
+/// measured shape (EXPERIMENTS.md A2).  The generic, oracle-counted form of
+/// the same algorithm is core/levelwise.h; this one additionally reports
+/// exact supports for rule generation.
 
 #include <cstdint>
 #include <optional>
@@ -55,17 +58,6 @@ struct AprioriResult {
   std::optional<Checkpoint> checkpoint;
 };
 
-/// How candidate supports are computed.
-enum class SupportCountingMode {
-  /// Tidset-bitmap intersection: each candidate's cover is the AND of its
-  /// two join parents' covers (Eclat-style; memory ~ |level| * |rows|/8).
-  kTidsets,
-  /// One horizontal database scan per candidate.
-  kHorizontal,
-  /// One database scan per LEVEL through the candidate hash tree of [2].
-  kHashTree,
-};
-
 /// Options for MineFrequentSets.
 struct AprioriOptions {
   /// Keep the full frequent-set list with supports (needed for rules).
@@ -75,8 +67,6 @@ struct AprioriOptions {
   /// maximal sets from the confirmed theory instead — turn this off and
   /// get an empty `maximal`, skipping the sweep entirely.
   bool compute_maximal = true;
-  /// Support-counting backend; all three produce identical results.
-  SupportCountingMode counting = SupportCountingMode::kTidsets;
   /// Stop after itemsets of this size.
   size_t max_level = Bitset::npos;
   /// Worker pool for the per-level counting batch; nullptr = global pool.
@@ -95,7 +85,7 @@ AprioriResult MineFrequentSets(TransactionDatabase* db, size_t min_support,
 /// Continues an interrupted run from \p checkpoint (kind "apriori",
 /// written by a budget-tripped MineFrequentSets) against the same
 /// database.  min_support and record_all are taken from the checkpoint;
-/// frontier covers are rebuilt from the database in tidset mode.  The
+/// frontier covers are rebuilt from the database.  The
 /// final output is bit-identical to a never-interrupted run's.
 Result<AprioriResult> ResumeFrequentSets(TransactionDatabase* db,
                                          const Checkpoint& checkpoint,

@@ -10,13 +10,12 @@
 ///
 /// Batched evaluation: a candidate level is a set of mutually independent
 /// support questions, so EvaluateBatch fans the candidates out over a
-/// thread pool — vertical mode intersects tidset bitmaps per candidate in
-/// parallel (early-exiting at min_support), horizontal mode scans disjoint
-/// transaction chunks and reduces per-candidate partial counts.  Both
-/// produce bit-for-bit the answers of the sequential loop.
+/// thread pool, each intersecting its items' tidset bitmaps and
+/// early-exiting at min_support.  The answers are bit-for-bit those of
+/// the sequential loop.
 ///
-/// Counting-kernel seam: the vertical path here wants only a yes/no at a
-/// threshold, so it rides the capped early-exit chain kernel
+/// Counting-kernel seam: this oracle wants only a yes/no at a threshold,
+/// so it rides the capped early-exit chain kernel
 /// (SupportVerticalPrebuilt / ChainCountCapped).  Callers that need exact
 /// counts for a whole level — partition phase 2, the benchmarks — use
 /// TransactionDatabase::CountSupportsVertical with a PrefixCoverCache
@@ -38,20 +37,14 @@ class FrequencyOracle : public InterestingnessOracle {
  public:
   /// \param db        the 0/1 relation (not owned; must outlive the oracle)
   /// \param min_support  absolute row-count threshold (sigma * |r|)
-  /// \param use_vertical use bitmap-intersection counting instead of a
-  ///                  horizontal scan (same answers; different constant)
   /// \param pool      worker pool for EvaluateBatch; nullptr = global pool
   FrequencyOracle(TransactionDatabase* db, size_t min_support,
-                  bool use_vertical = true, ThreadPool* pool = nullptr)
-      : db_(db),
-        min_support_(min_support),
-        use_vertical_(use_vertical),
-        pool_(PoolOrGlobal(pool)) {}
+                  ThreadPool* pool = nullptr)
+      : db_(db), min_support_(min_support), pool_(PoolOrGlobal(pool)) {}
 
   bool IsInteresting(const Bitset& x) override {
     HGM_OBS_COUNT("freq.support_queries", 1);
-    if (use_vertical_) return db_->SupportAtLeast(x, min_support_);
-    return db_->Support(x) >= min_support_;
+    return db_->SupportAtLeast(x, min_support_);
   }
 
   std::vector<uint8_t> EvaluateBatch(
@@ -61,27 +54,14 @@ class FrequencyOracle : public InterestingnessOracle {
     HGM_OBS_COUNT("freq.support_queries", batch.size());
     HGM_OBS_COUNT("freq.batches", 1);
     HGM_OBS_OBSERVE("freq.batch_size", batch.size());
-    if (use_vertical_) {
-      // Parallel across candidates: each evaluates its own word-streamed
-      // tidset intersection against the prebuilt vertical index.
-      db_->EnsureVerticalIndex();
-      pool_->ParallelFor(
-          batch.size(), [&](size_t begin, size_t end, size_t) {
-            for (size_t i = begin; i < end; ++i) {
-              out[i] =
-                  db_->SupportAtLeastPrebuilt(batch[i], min_support_) ? 1
-                                                                      : 0;
-            }
-          });
-    } else {
-      // Parallel across transactions: chunked horizontal scan with
-      // per-candidate partial counts reduced per chunk.
-      std::vector<size_t> supports =
-          db_->CountSupportsHorizontal(batch, pool_);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        out[i] = supports[i] >= min_support_ ? 1 : 0;
+    // Parallel across candidates: each evaluates its own word-streamed
+    // tidset intersection against the prebuilt vertical index.
+    db_->EnsureVerticalIndex();
+    pool_->ParallelFor(batch.size(), [&](size_t begin, size_t end, size_t) {
+      for (size_t i = begin; i < end; ++i) {
+        out[i] = db_->SupportAtLeastPrebuilt(batch[i], min_support_) ? 1 : 0;
       }
-    }
+    });
     return out;
   }
 
@@ -92,7 +72,6 @@ class FrequencyOracle : public InterestingnessOracle {
  private:
   TransactionDatabase* db_;
   size_t min_support_;
-  bool use_vertical_;
   ThreadPool* pool_;
 };
 

@@ -266,7 +266,6 @@ bool MineShardsWithFailover(ShardedTransactionDatabase* db,
     // Local maximal sets are never consumed — the global maximal family
     // comes from the confirmed theory — so skip the per-level sweep.
     local_options.compute_maximal = false;
-    local_options.counting = options.local_counting;
     if (pending.size() < pool->num_threads()) {
       // Fewer shards than threads: run them back to back, each on the
       // full pool, checking cancellation at the shard boundary.

@@ -34,8 +34,6 @@ struct PartitionOptions {
   /// Worker pool; phase 1 runs one shard per task on it, phase 2 uses it
   /// for the batched confirmation pass.  nullptr = global pool.
   ThreadPool* pool = nullptr;
-  /// Support-counting backend for the per-shard local Apriori runs.
-  SupportCountingMode local_counting = SupportCountingMode::kTidsets;
   /// Compute Bd-(Th) of the global theory so the result matches
   /// MineFrequentSets field for field.  By default the border is derived
   /// combinatorially from the confirmed theory (apriori-gen's rejected

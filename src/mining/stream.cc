@@ -257,7 +257,7 @@ StreamWindowResult StreamMiner::RunRepair(size_t start_level,
   std::vector<ItemVec> level;  // F_{k-1} as sorted item vectors
   std::unordered_set<Bitset, BitsetHash> level_set;
   for (size_t k = 1;; ++k) {
-    const std::vector<ItemVec> candidates =
+    const std::vector<AprioriCandidate> candidates =
         k == 1 ? SingletonCandidates(n) : AprioriGen(level, level_set, n);
     if (candidates.empty()) break;
     // Levels below start_level were decided before the trip that led
@@ -278,7 +278,7 @@ StreamWindowResult StreamMiner::RunRepair(size_t start_level,
     std::vector<size_t> fresh_idx;
     std::vector<Bitset> fresh_sets;
     for (size_t i = 0; i < candidates.size(); ++i) {
-      cand_sets.push_back(Bitset::FromIndices(n, candidates[i]));
+      cand_sets.push_back(Bitset::FromIndices(n, candidates[i].items));
       auto it = tracked_.find(cand_sets.back());
       if (it != tracked_.end()) {
         supports[i] = it->second;
@@ -321,7 +321,7 @@ StreamWindowResult StreamMiner::RunRepair(size_t start_level,
       if (supports[i] >= min_support_) {
         result.frequent.push_back({cand_sets[i], supports[i]});
         next_set.insert(cand_sets[i]);
-        next.push_back(candidates[i]);
+        next.push_back(candidates[i].items);
       } else {
         result.negative_border.push_back(cand_sets[i]);
       }

@@ -132,30 +132,6 @@ size_t TransactionDatabase::SupportVerticalPrebuilt(const Bitset& itemset,
   return ChainCountCapped(vertical_, items, cap);
 }
 
-std::vector<size_t> TransactionDatabase::CountSupportsHorizontal(
-    std::span<const Bitset> itemsets, ThreadPool* pool) const {
-  std::vector<size_t> totals(itemsets.size(), 0);
-  if (itemsets.empty() || rows_.empty()) return totals;
-  ThreadPool* p = PoolOrGlobal(pool);
-  std::vector<std::vector<size_t>> partial(p->num_threads());
-  p->ParallelFor(rows_.size(), [&](size_t begin, size_t end, size_t chunk) {
-    std::vector<size_t>& local = partial[chunk];
-    local.assign(itemsets.size(), 0);
-    for (size_t t = begin; t < end; ++t) {
-      const Bitset& row = rows_[t];
-      for (size_t c = 0; c < itemsets.size(); ++c) {
-        if (itemsets[c].IsSubsetOf(row)) ++local[c];
-      }
-    }
-  });
-  // Reduce partial counts in chunk order (sums of size_t are exact, so
-  // this is deterministic at any thread count regardless).
-  for (const std::vector<size_t>& local : partial) {
-    for (size_t c = 0; c < local.size(); ++c) totals[c] += local[c];
-  }
-  return totals;
-}
-
 std::vector<size_t> TransactionDatabase::CountSupportsVertical(
     std::span<const Bitset> itemsets, PrefixCoverCache* cache,
     ThreadPool* pool) {

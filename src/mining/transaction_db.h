@@ -91,14 +91,6 @@ class TransactionDatabase {
   size_t SupportVerticalPrebuilt(const Bitset& itemset,
                                  size_t cap = Bitset::npos) const;
 
-  /// Counts, for every itemset of \p itemsets, the number of rows
-  /// containing it.  Scans disjoint transaction chunks in parallel (one
-  /// chunk per pool thread), keeping per-chunk partial counts that are
-  /// reduced in chunk order — identical results at any thread count.
-  /// \p pool nullptr means the global pool.
-  std::vector<size_t> CountSupportsHorizontal(
-      std::span<const Bitset> itemsets, ThreadPool* pool = nullptr) const;
-
   /// Exact supports via the vertical index and a prefix-tidset cache: a
   /// size-k itemset intersects its memoized (k-1)-prefix cover with ONE
   /// item tidset instead of re-chaining all k tidsets.  Builds the needed

@@ -335,13 +335,16 @@ void Server::WorkerLoop(size_t worker_index) {
             .count());
     HGM_OBS_OBSERVE("serve.request_us", us);
 
-    item.done(response);
+    // Settle the ledgers before replying: a closed-loop client's next
+    // request may arrive the moment done() returns, and must not be shed
+    // against this request's slot.
     admission_.OnFinish(item.budget_ms);
     {
       MutexLock lock(mu_);
       inflight_.erase(ticket);
       ++handled_;
     }
+    item.done(response);
   }
 }
 

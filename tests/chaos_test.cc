@@ -169,7 +169,7 @@ TEST(ChaosLevelwiseTest, ScheduleIsThreadCountIndependent) {
   std::vector<uint64_t> retries;
   for (size_t threads : {size_t{1}, size_t{8}}) {
     ThreadPool pool(threads);
-    FrequencyOracle inner(&db, 2, /*use_vertical=*/true, &pool);
+    FrequencyOracle inner(&db, 2, &pool);
     FaultSpec spec;
     spec.transient_rate = 0.25;
     spec.seed = 13;

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <sstream>
+#include <unordered_set>
+#include <vector>
 
+#include "common/apriori_gen.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
@@ -158,6 +162,88 @@ TEST(TablePrinterTest, CsvOutput) {
   std::ostringstream os;
   t.PrintCsv(os);
   EXPECT_EQ(os.str(), "a,b\n1,2\n");
+}
+
+// ---- apriori-gen --------------------------------------------------------
+
+std::unordered_set<Bitset, BitsetHash> SetsOf(const std::vector<ItemVec>& level,
+                                              size_t n) {
+  std::unordered_set<Bitset, BitsetHash> sets;
+  for (const ItemVec& items : level) sets.insert(Bitset::FromIndices(n, items));
+  return sets;
+}
+
+ItemVec Without(const ItemVec& items, size_t drop) {
+  ItemVec out = items;
+  out.erase(out.begin() + static_cast<std::ptrdiff_t>(drop));
+  return out;
+}
+
+TEST(AprioriGenTest, JoinsSharedPrefixesAndPrunesMissingSubsets) {
+  // Items A..D = 0..3.  ABC and ABD join from AB; ACD and BCD are joined
+  // too but pruned because CD is absent.
+  const std::vector<ItemVec> level = {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}};
+  std::vector<AprioriCandidate> out = AprioriGen(level, SetsOf(level, 4), 4);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].items, (ItemVec{0, 1, 2}));
+  EXPECT_EQ(out[0].parent_i, 0u);
+  EXPECT_EQ(out[0].parent_j, 1u);
+  EXPECT_EQ(out[1].items, (ItemVec{0, 1, 3}));
+  EXPECT_EQ(out[1].parent_i, 0u);
+  EXPECT_EQ(out[1].parent_j, 2u);
+
+  EXPECT_TRUE(AprioriGen({}, {}, 4).empty());
+  // Singletons join into every pair; nothing to prune at k = 1.
+  const std::vector<ItemVec> items = {{0}, {2}, {3}};
+  out = AprioriGen(items, SetsOf(items, 4), 4);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[2].items, (ItemVec{2, 3}));
+  EXPECT_EQ(out[2].parent_i, 1u);
+  EXPECT_EQ(out[2].parent_j, 2u);
+}
+
+// On random 3-set families, the output is exactly the 4-sets whose every
+// 3-subset is in the level, in sorted order with no repeats, and each
+// candidate's parents are the level sets it was joined from: the
+// candidate without its last item and without its second-to-last.
+TEST(AprioriGenTest, MatchesBruteForceWithJoinParents) {
+  const size_t n = 8;
+  Rng rng(15);
+  for (int iter = 0; iter < 20; ++iter) {
+    std::set<ItemVec> family;
+    while (family.size() < 6 + static_cast<size_t>(iter)) {
+      std::vector<size_t> pick = rng.SampleWithoutReplacement(n, 3);
+      std::sort(pick.begin(), pick.end());
+      family.insert(ItemVec(pick.begin(), pick.end()));
+    }
+    const std::vector<ItemVec> level(family.begin(), family.end());
+    const auto level_set = SetsOf(level, n);
+
+    std::vector<ItemVec> expected;
+    for (uint32_t mask = 0; mask < (1u << n); ++mask) {
+      if (std::popcount(mask) != 4) continue;
+      ItemVec cand;
+      for (uint32_t v = 0; v < n; ++v) {
+        if ((mask >> v) & 1) cand.push_back(v);
+      }
+      bool all = true;
+      for (size_t drop = 0; drop < cand.size(); ++drop) {
+        all = all && family.contains(Without(cand, drop));
+      }
+      if (all) expected.push_back(cand);
+    }
+    std::sort(expected.begin(), expected.end());
+
+    std::vector<AprioriCandidate> out = AprioriGen(level, level_set, n);
+    ASSERT_EQ(out.size(), expected.size()) << "iter " << iter;
+    for (size_t c = 0; c < out.size(); ++c) {
+      EXPECT_EQ(out[c].items, expected[c]) << "iter " << iter;
+      ASSERT_LT(out[c].parent_i, out[c].parent_j);
+      ASSERT_LT(out[c].parent_j, level.size());
+      EXPECT_EQ(level[out[c].parent_i], Without(out[c].items, 3));
+      EXPECT_EQ(level[out[c].parent_j], Without(out[c].items, 2));
+    }
+  }
 }
 
 }  // namespace

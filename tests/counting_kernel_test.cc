@@ -1,6 +1,6 @@
 // Differential tests for the support-counting kernels behind partition
 // phase 2: the prefix-cached vertical batch counter must agree bit for
-// bit with the horizontal chunk scan and with the uncached capped tidset
+// bit with the row-scan reference and with the uncached capped tidset
 // chain, on dense and sparse databases at several thread counts; the
 // distributed-cap sharded threshold test must agree with the serial
 // shard walk; and the apriori-gen negative-border derivation must equal
@@ -51,10 +51,10 @@ std::vector<Bitset> RandomProbes(uint64_t seed, size_t n, size_t count,
   return probes;
 }
 
-// The three exact-count kernels agree on dense and sparse data at every
-// thread count: prefix-cached vertical, horizontal chunk scan, and the
+// The two exact-count kernels agree with the row-scan reference on dense
+// and sparse data at every thread count: prefix-cached vertical and the
 // uncached capped chain (cap = npos makes it exact).
-TEST(CountingKernelTest, VerticalHorizontalAndChainAgree) {
+TEST(CountingKernelTest, VerticalAndChainAgree) {
   struct Shape {
     uint64_t seed;
     double density;
@@ -71,17 +71,11 @@ TEST(CountingKernelTest, VerticalHorizontalAndChainAgree) {
     }
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
       ThreadPool pool(threads);
-      std::vector<size_t> horizontal =
-          db.CountSupportsHorizontal(probes, &pool);
       PrefixCoverCache cache(&db);
       std::vector<size_t> vertical =
           db.CountSupportsVertical(probes, &cache, &pool);
-      ASSERT_EQ(horizontal.size(), probes.size());
       ASSERT_EQ(vertical.size(), probes.size());
       for (size_t i = 0; i < probes.size(); ++i) {
-        EXPECT_EQ(horizontal[i], reference[i])
-            << "horizontal, probe " << probes[i].ToString() << " threads "
-            << threads;
         EXPECT_EQ(vertical[i], reference[i])
             << "prefix-cached, probe " << probes[i].ToString()
             << " threads " << threads;

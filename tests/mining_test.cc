@@ -146,34 +146,6 @@ TEST(AprioriTest, Fig1FrequentSets) {
   }
 }
 
-TEST(AprioriTest, AllCountingModesAgree) {
-  Rng rng(5);
-  QuestParams params;
-  params.num_transactions = 150;
-  params.num_items = 24;
-  params.avg_transaction_size = 5;
-  TransactionDatabase db = GenerateQuest(params, &rng);
-  AprioriOptions tid, hor, tree;
-  hor.counting = SupportCountingMode::kHorizontal;
-  tree.counting = SupportCountingMode::kHashTree;
-  AprioriResult a = MineFrequentSets(&db, 8, tid);
-  AprioriResult b = MineFrequentSets(&db, 8, hor);
-  AprioriResult c = MineFrequentSets(&db, 8, tree);
-  ASSERT_EQ(a.frequent.size(), b.frequent.size());
-  for (size_t i = 0; i < a.frequent.size(); ++i) {
-    EXPECT_EQ(a.frequent[i].items, b.frequent[i].items);
-    EXPECT_EQ(a.frequent[i].support, b.frequent[i].support);
-  }
-  EXPECT_TRUE(SameFamily(a.maximal, b.maximal));
-  EXPECT_TRUE(SameFamily(a.negative_border, b.negative_border));
-  ASSERT_EQ(a.frequent.size(), c.frequent.size());
-  for (size_t i = 0; i < a.frequent.size(); ++i) {
-    EXPECT_EQ(a.frequent[i].items, c.frequent[i].items);
-    EXPECT_EQ(a.frequent[i].support, c.frequent[i].support);
-  }
-  EXPECT_TRUE(SameFamily(a.maximal, c.maximal));
-}
-
 TEST(AprioriTest, MatchesBruteForceOnRandomData) {
   Rng rng(6);
   for (int iter = 0; iter < 6; ++iter) {
@@ -249,19 +221,16 @@ TEST(AprioriTest, PlantedPatternsAreRecoveredExactly) {
 // ---------------------------------------------------------------------
 TEST(FrequencyOracleTest, AgreesWithSupport) {
   TransactionDatabase db = Fig1Database();
-  FrequencyOracle vertical(&db, 2, /*use_vertical=*/true);
-  FrequencyOracle horizontal(&db, 2, /*use_vertical=*/false);
+  FrequencyOracle oracle(&db, 2);
   for (uint64_t mask = 0; mask < 16; ++mask) {
     Bitset x(4);
     for (size_t v = 0; v < 4; ++v) {
       if ((mask >> v) & 1) x.Set(v);
     }
-    bool expected = db.Support(x) >= 2;
-    EXPECT_EQ(vertical.IsInteresting(x), expected);
-    EXPECT_EQ(horizontal.IsInteresting(x), expected);
+    EXPECT_EQ(oracle.IsInteresting(x), db.Support(x) >= 2);
   }
-  EXPECT_EQ(vertical.num_items(), 4u);
-  EXPECT_EQ(vertical.min_support(), 2u);
+  EXPECT_EQ(oracle.num_items(), 4u);
+  EXPECT_EQ(oracle.min_support(), 2u);
 }
 
 TEST(MaxMinerTest, BothAlgorithmsAgreeWithApriori) {

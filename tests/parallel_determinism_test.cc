@@ -71,26 +71,20 @@ TEST(ParallelDeterminismTest, AprioriIdenticalAcrossThreadCounts) {
     TransactionDatabase db = GenerateQuest(params, &rng);
     const size_t minsup = 25;
 
-    for (SupportCountingMode mode :
-         {SupportCountingMode::kTidsets, SupportCountingMode::kHorizontal,
-          SupportCountingMode::kHashTree}) {
-      ThreadPool sequential(1);
-      AprioriOptions base_opts;
-      base_opts.counting = mode;
-      base_opts.pool = &sequential;
-      AprioriResult base = MineFrequentSets(&db, minsup, base_opts);
-      // Theorem 10: every candidate is evaluated exactly once.
-      EXPECT_EQ(base.support_counts.load(),
-                base.frequent.size() + base.negative_border.size());
+    ThreadPool sequential(1);
+    AprioriOptions base_opts;
+    base_opts.pool = &sequential;
+    AprioriResult base = MineFrequentSets(&db, minsup, base_opts);
+    // Theorem 10: every candidate is evaluated exactly once.
+    EXPECT_EQ(base.support_counts.load(),
+              base.frequent.size() + base.negative_border.size());
 
-      for (size_t threads : kThreadCounts) {
-        ThreadPool pool(threads);
-        AprioriOptions opts;
-        opts.counting = mode;
-        opts.pool = &pool;
-        AprioriResult r = MineFrequentSets(&db, minsup, opts);
-        ExpectSameAprioriResult(base, r, threads);
-      }
+    for (size_t threads : kThreadCounts) {
+      ThreadPool pool(threads);
+      AprioriOptions opts;
+      opts.pool = &pool;
+      AprioriResult r = MineFrequentSets(&db, minsup, opts);
+      ExpectSameAprioriResult(base, r, threads);
     }
   }
 }
@@ -104,7 +98,7 @@ TEST(ParallelDeterminismTest, LevelwiseTheoremTenExactUnderParallelism) {
     LevelwiseResult base;
     for (size_t threads : kThreadCounts) {
       ThreadPool pool(threads);
-      FrequencyOracle oracle(&db, 8, /*use_vertical=*/true, &pool);
+      FrequencyOracle oracle(&db, 8, &pool);
       CountingOracle counter(&oracle);
       LevelwiseResult r = RunLevelwise(&counter);
       // Theorem 10: the levelwise algorithm evaluates q exactly
@@ -126,22 +120,6 @@ TEST(ParallelDeterminismTest, LevelwiseTheoremTenExactUnderParallelism) {
       EXPECT_EQ(base.interesting_per_level, r.interesting_per_level);
     }
   }
-}
-
-TEST(ParallelDeterminismTest, HorizontalOracleMatchesVertical) {
-  Rng rng(5);
-  QuestParams params;
-  params.num_transactions = 600;
-  params.num_items = 40;
-  TransactionDatabase db = GenerateQuest(params, &rng);
-  ThreadPool pool(8);
-  FrequencyOracle vertical(&db, 15, /*use_vertical=*/true, &pool);
-  FrequencyOracle horizontal(&db, 15, /*use_vertical=*/false, &pool);
-  LevelwiseResult v = RunLevelwise(&vertical);
-  LevelwiseResult h = RunLevelwise(&horizontal);
-  EXPECT_EQ(v.theory, h.theory);
-  EXPECT_EQ(v.negative_border, h.negative_border);
-  EXPECT_EQ(v.queries, h.queries);
 }
 
 TEST(ParallelDeterminismTest, TransversalsIdenticalAcrossThreadCounts) {
@@ -211,7 +189,7 @@ TEST(ParallelDeterminismTest, CachedOracleAccountingStaysExact) {
   auto patterns = RandomPatterns(16, 4, 5, &rng);
   TransactionDatabase db = PlantedDatabase(16, patterns, 5, 10, 2, &rng);
   ThreadPool pool(8);
-  FrequencyOracle oracle(&db, 5, /*use_vertical=*/true, &pool);
+  FrequencyOracle oracle(&db, 5, &pool);
   CachedOracle cached(&oracle);
 
   Bitset probe = patterns[0];
@@ -382,7 +360,7 @@ TEST(ParallelDeterminismTest, ChaosMatrixIdenticalAcrossSeedsAndThreads) {
     for (size_t threads : {size_t{1}, size_t{8}}) {
       ThreadPool pool(threads);
 
-      FrequencyOracle lw_inner(&db, minsup, true, &pool);
+      FrequencyOracle lw_inner(&db, minsup, &pool);
       FaultInjectingOracle lw_faulty(&lw_inner, spec);
       RetryingOracle lw_healing(&lw_faulty, patient);
       lw_healing.set_sleeper([](uint64_t) {});
@@ -392,7 +370,7 @@ TEST(ParallelDeterminismTest, ChaosMatrixIdenticalAcrossSeedsAndThreads) {
       EXPECT_EQ(lw.negative_border, clean_lw.negative_border);
       EXPECT_EQ(lw.queries, clean_lw.queries);
 
-      FrequencyOracle da_inner(&db, minsup, true, &pool);
+      FrequencyOracle da_inner(&db, minsup, &pool);
       FaultInjectingOracle da_faulty(&da_inner, spec);
       RetryingOracle da_healing(&da_faulty, patient);
       da_healing.set_sleeper([](uint64_t) {});

@@ -157,7 +157,7 @@ TEST(ShardedOracleTest, LevelwiseRunsUnchangedOnShardedBackend) {
   TransactionDatabase db = QuestDatabase(9);
   const size_t minsup = 20;
   ThreadPool pool(4);
-  FrequencyOracle flat(&db, minsup, /*use_vertical=*/true, &pool);
+  FrequencyOracle flat(&db, minsup, &pool);
   LevelwiseResult expected = RunLevelwise(&flat);
 
   for (size_t k : {size_t{1}, size_t{3}, size_t{8}}) {
@@ -225,21 +225,6 @@ TEST(PartitionMinerTest, MinSupportZeroClampsToOne) {
       ShardedTransactionDatabase::Split(db, 2);
   AprioriResult expected = MineFrequentSets(&db, 1);
   PartitionResult r = MinePartitioned(&sharded, 0);
-  ASSERT_EQ(r.frequent.size(), expected.frequent.size());
-  for (size_t i = 0; i < r.frequent.size(); ++i) {
-    EXPECT_EQ(r.frequent[i].items, expected.frequent[i].items);
-    EXPECT_EQ(r.frequent[i].support, expected.frequent[i].support);
-  }
-}
-
-TEST(PartitionMinerTest, HorizontalLocalCountingAgrees) {
-  TransactionDatabase db = QuestDatabase(13);
-  AprioriResult expected = MineFrequentSets(&db, 20);
-  ShardedTransactionDatabase sharded =
-      ShardedTransactionDatabase::Split(db, 4);
-  PartitionOptions opts;
-  opts.local_counting = SupportCountingMode::kHorizontal;
-  PartitionResult r = MinePartitioned(&sharded, 20, opts);
   ASSERT_EQ(r.frequent.size(), expected.frequent.size());
   for (size_t i = 0; i < r.frequent.size(); ++i) {
     EXPECT_EQ(r.frequent[i].items, expected.frequent[i].items);

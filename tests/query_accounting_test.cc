@@ -29,12 +29,9 @@ bool ContainsSet(const std::vector<Bitset>& family, const Bitset& x) {
   return std::find(family.begin(), family.end(), x) != family.end();
 }
 
-class QueryAccountingTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(QueryAccountingTest, Theorem10ExactOnFigure1) {
-  const bool use_vertical = GetParam();
+TEST(QueryAccountingTest, Theorem10ExactOnFigure1) {
   TransactionDatabase db = Figure1Db();
-  FrequencyOracle freq(&db, 2, use_vertical);
+  FrequencyOracle freq(&db, 2);
   CountingOracle counting(&freq);
 
   LevelwiseResult result = RunLevelwise(&counting);
@@ -58,9 +55,6 @@ TEST_P(QueryAccountingTest, Theorem10ExactOnFigure1) {
   EXPECT_TRUE(ContainsSet(result.negative_border, Bitset(4, {0, 3})));
   EXPECT_TRUE(ContainsSet(result.negative_border, Bitset(4, {2, 3})));
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, QueryAccountingTest,
-                         ::testing::Bool());
 
 TEST(QueryAccountingCachedTest, CachedOracleAccountingOnDualizeAdvance) {
   TransactionDatabase db = Figure1Db();

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <future>
 #include <optional>
 #include <string>
 #include <vector>
@@ -429,6 +430,41 @@ TEST(ServeServerTest, ControlOpsAndDataOpsRoundTrip) {
 
   server.Drain();
   EXPECT_GE(server.requests_handled(), 2u);
+}
+
+// A closed-loop client sends its next request the moment it reads a
+// reply.  The worker must settle the admission ledger and the handled
+// count before replying, or that request is shed against the slot of the
+// one just answered.  Submitting from inside done() is the tightest loop.
+TEST(ServeServerTest, ReplyFollowsTheAdmissionRelease) {
+  ServerConfig config;
+  config.workers = 1;
+  config.admission.max_queue = 1;
+  Server server(config);
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_NE(server
+                .Handle("{\"op\":\"open\",\"id\":1,\"session\":\"s\","
+                        "\"items\":4,\"rows\":" +
+                        Fig1RowsJson() + "}")
+                .find("\"ok\":true"),
+            std::string::npos);
+
+  const std::string support =
+      "{\"session\":\"s\",\"op\":\"support\",\"itemset\":[1,3],\"id\":";
+  std::promise<std::string> second;
+  std::future<std::string> second_reply = second.get_future();
+  uint64_t handled_at_first_reply = 0;
+  server.Submit(support + "2}", [&](std::string) {
+    handled_at_first_reply = server.requests_handled();
+    server.Submit(support + "3}", [&](std::string response) {
+      second.set_value(std::move(response));
+    });
+  });
+  const std::string reply = second_reply.get();
+  EXPECT_EQ(reply.find("queue_full"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("\"support\":2"), std::string::npos) << reply;
+  EXPECT_EQ(handled_at_first_reply, 2u);  // the open and the first support
+  server.Drain();
 }
 
 TEST(ServeServerTest, ShutdownRequestClosesAdmissions) {
