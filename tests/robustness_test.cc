@@ -4,12 +4,14 @@
 // members), and Resume* continues from the checkpoint to output
 // bit-identical to a never-interrupted run — at every possible trip
 // point, for every checkpointing engine (levelwise, Dualize-and-Advance,
-// Apriori, the partition miner).
+// Apriori, the partition miner) — and the checkpoint bytes themselves
+// are pinned for levelwise, Apriori and the stream repair.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -24,6 +26,7 @@
 #include "mining/generators.h"
 #include "mining/partition.h"
 #include "mining/sharded_db.h"
+#include "mining/stream.h"
 
 namespace hgm {
 namespace {
@@ -346,6 +349,341 @@ TEST(RobustnessResumeTest, CheckpointSurvivesSerializeParseRoundTrip) {
   ASSERT_TRUE(resumed.ok()) << resumed.status().message();
   FrequencyOracle clean_oracle(&db, 6);
   ExpectSameLevelwise(RunLevelwise(&clean_oracle), *resumed);
+}
+
+// Golden checkpoints: the exact bytes a budget-tripped run writes, plus
+// its certified partial Bd+, at fixed trip points on tiny fixtures.  The
+// resume tests above only prove a checkpoint round-trips through the
+// current code; these pin the format itself, because checkpoints outlive
+// the process that wrote them (hgmine_serve reloads parked apriori
+// checkpoints from disk, the CLI resumes from --checkpoint files).
+
+std::string PartialBdPlus(const std::vector<Bitset>& positive_border) {
+  std::string out = "bd+";
+  for (const Bitset& x : positive_border) out += " " + x.ToString();
+  return out + "\n";
+}
+
+/// Figure 1 plus an item E (index 4) that occurs only twice, alone:
+/// E is frequent but never extends, so it enters Bd+ at level 2 and the
+/// checkpoints' `maximal` sections are not all empty.
+TransactionDatabase Fig1WithLoneItem() {
+  return TransactionDatabase::FromRows(
+      5, {{0, 1, 2}, {0, 1, 2}, {1, 3}, {1, 3}, {0, 3}, {4}, {4}});
+}
+
+std::string LevelwiseGolden(uint64_t max_queries) {
+  TransactionDatabase db = Fig1WithLoneItem();
+  FrequencyOracle oracle(&db, 2);
+  LevelwiseOptions opts;
+  opts.budget.max_queries = max_queries;
+  LevelwiseResult part = RunLevelwise(&oracle, opts);
+  EXPECT_EQ(part.stop_reason, StopReason::kQueryBudget);
+  if (!part.checkpoint) return "no checkpoint";
+  return SerializeCheckpoint(*part.checkpoint) +
+         PartialBdPlus(part.positive_border);
+}
+
+std::string AprioriGolden(uint64_t max_queries) {
+  TransactionDatabase db = Fig1WithLoneItem();
+  AprioriOptions opts;
+  opts.budget.max_queries = max_queries;
+  AprioriResult part = MineFrequentSets(&db, 2, opts);
+  EXPECT_EQ(part.stop_reason, StopReason::kQueryBudget);
+  if (!part.checkpoint) return "no checkpoint";
+  return SerializeCheckpoint(*part.checkpoint) + PartialBdPlus(part.maximal);
+}
+
+/// Streams a 10-row feed (window 4, slide 2, minsup 2) and trips the
+/// boundary with index \p trip_boundary at \p max_queries fresh counts.
+std::string StreamGolden(size_t trip_boundary, uint64_t max_queries) {
+  const std::vector<std::vector<size_t>> rows = {
+      {0, 1, 2}, {0, 1}, {1, 3}, {0, 1, 2}, {2, 3},
+      {1, 2, 3}, {0, 3}, {0, 1, 3}, {0, 2, 3}, {1, 2}};
+  StreamOptions options;
+  options.slide_rows = 2;
+  StreamMiner miner(4, 2, 4, options);
+  for (const std::vector<size_t>& row : rows) {
+    if (!miner.Push(Bitset::FromIndices(4, row))) continue;
+    if (miner.windows_completed() == trip_boundary) {
+      RunBudget tight;
+      tight.max_queries = max_queries;
+      miner.set_budget(tight);
+      StreamWindowResult part = miner.AdvanceWindow();
+      EXPECT_EQ(part.stop_reason, StopReason::kQueryBudget);
+      if (!part.checkpoint) return "no checkpoint";
+      return SerializeCheckpoint(*part.checkpoint) +
+             PartialBdPlus(part.maximal);
+    }
+    (void)miner.AdvanceWindow();
+  }
+  return "boundary not reached";
+}
+
+TEST(RobustnessGoldenCheckpointTest, Levelwise) {
+  // The fixture costs 17 queries at minsup 2: ∅, 5 singletons, 10 pairs
+  // and ABC.  Trip before level 1, before level 2 and before level 3.
+  EXPECT_EQ(LevelwiseGolden(1),
+            "hgmine-checkpoint v1\n"
+            "kind levelwise\n"
+            "width 5\n"
+            "scalar next_level 0\n"
+            "scalar queries 1\n"
+            "scalar candidates 1\n"
+            "scalar levels 0\n"
+            "scalar record_theory 1\n"
+            "section frontier 1\n"
+            "0 0\n"
+            "section maximal 0\n"
+            "section negative_border 0\n"
+            "section theory 1\n"
+            "0 0\n"
+            "section candidates_per_level 1\n"
+            "0 1\n"
+            "section interesting_per_level 1\n"
+            "0 1\n"
+            "end\n"
+            "bd+ {}\n");
+  EXPECT_EQ(LevelwiseGolden(6),
+            "hgmine-checkpoint v1\n"
+            "kind levelwise\n"
+            "width 5\n"
+            "scalar next_level 1\n"
+            "scalar queries 6\n"
+            "scalar candidates 6\n"
+            "scalar levels 1\n"
+            "scalar record_theory 1\n"
+            "section frontier 5\n"
+            "1 0 0\n"
+            "1 0 1\n"
+            "1 0 2\n"
+            "1 0 3\n"
+            "1 0 4\n"
+            "section maximal 0\n"
+            "section negative_border 0\n"
+            "section theory 6\n"
+            "0 0\n"
+            "1 0 0\n"
+            "1 0 1\n"
+            "1 0 2\n"
+            "1 0 3\n"
+            "1 0 4\n"
+            "section candidates_per_level 2\n"
+            "0 1\n"
+            "0 5\n"
+            "section interesting_per_level 2\n"
+            "0 1\n"
+            "0 5\n"
+            "end\n"
+            "bd+ {0} {1} {2} {3} {4}\n");
+  EXPECT_EQ(LevelwiseGolden(16),
+            "hgmine-checkpoint v1\n"
+            "kind levelwise\n"
+            "width 5\n"
+            "scalar next_level 2\n"
+            "scalar queries 16\n"
+            "scalar candidates 16\n"
+            "scalar levels 2\n"
+            "scalar record_theory 1\n"
+            "section frontier 4\n"
+            "2 0 0 1\n"
+            "2 0 0 2\n"
+            "2 0 1 2\n"
+            "2 0 1 3\n"
+            "section maximal 1\n"
+            "1 0 4\n"
+            "section negative_border 6\n"
+            "2 0 0 3\n"
+            "2 0 0 4\n"
+            "2 0 1 4\n"
+            "2 0 2 3\n"
+            "2 0 2 4\n"
+            "2 0 3 4\n"
+            "section theory 10\n"
+            "0 0\n"
+            "1 0 0\n"
+            "1 0 1\n"
+            "1 0 2\n"
+            "1 0 3\n"
+            "1 0 4\n"
+            "2 0 0 1\n"
+            "2 0 0 2\n"
+            "2 0 1 2\n"
+            "2 0 1 3\n"
+            "section candidates_per_level 3\n"
+            "0 1\n"
+            "0 5\n"
+            "0 10\n"
+            "section interesting_per_level 3\n"
+            "0 1\n"
+            "0 5\n"
+            "0 4\n"
+            "end\n"
+            "bd+ {4} {0, 1} {0, 2} {1, 2} {1, 3}\n");
+}
+
+TEST(RobustnessGoldenCheckpointTest, Apriori) {
+  EXPECT_EQ(AprioriGolden(1),
+            "hgmine-checkpoint v1\n"
+            "kind apriori\n"
+            "width 5\n"
+            "scalar next_level 1\n"
+            "scalar support_counts 1\n"
+            "scalar min_support 2\n"
+            "scalar record_all 1\n"
+            "section frontier 0\n"
+            "section maximal 0\n"
+            "section negative_border 0\n"
+            "section frequent 1\n"
+            "0 7\n"
+            "section candidates_per_level 1\n"
+            "0 1\n"
+            "section frequent_per_level 1\n"
+            "0 1\n"
+            "end\n"
+            "bd+ {}\n");
+  EXPECT_EQ(AprioriGolden(6),
+            "hgmine-checkpoint v1\n"
+            "kind apriori\n"
+            "width 5\n"
+            "scalar next_level 2\n"
+            "scalar support_counts 6\n"
+            "scalar min_support 2\n"
+            "scalar record_all 1\n"
+            "section frontier 5\n"
+            "1 3 0\n"
+            "1 4 1\n"
+            "1 2 2\n"
+            "1 3 3\n"
+            "1 2 4\n"
+            "section maximal 0\n"
+            "section negative_border 0\n"
+            "section frequent 6\n"
+            "0 7\n"
+            "1 3 0\n"
+            "1 4 1\n"
+            "1 2 2\n"
+            "1 3 3\n"
+            "1 2 4\n"
+            "section candidates_per_level 2\n"
+            "0 1\n"
+            "0 5\n"
+            "section frequent_per_level 2\n"
+            "0 1\n"
+            "0 5\n"
+            "end\n"
+            "bd+ {0} {1} {2} {3} {4}\n");
+  EXPECT_EQ(AprioriGolden(16),
+            "hgmine-checkpoint v1\n"
+            "kind apriori\n"
+            "width 5\n"
+            "scalar next_level 3\n"
+            "scalar support_counts 16\n"
+            "scalar min_support 2\n"
+            "scalar record_all 1\n"
+            "section frontier 4\n"
+            "2 2 0 1\n"
+            "2 2 0 2\n"
+            "2 2 1 2\n"
+            "2 2 1 3\n"
+            "section maximal 1\n"
+            "1 0 4\n"
+            "section negative_border 6\n"
+            "2 0 0 3\n"
+            "2 0 0 4\n"
+            "2 0 1 4\n"
+            "2 0 2 3\n"
+            "2 0 2 4\n"
+            "2 0 3 4\n"
+            "section frequent 10\n"
+            "0 7\n"
+            "1 3 0\n"
+            "1 4 1\n"
+            "1 2 2\n"
+            "1 3 3\n"
+            "1 2 4\n"
+            "2 2 0 1\n"
+            "2 2 0 2\n"
+            "2 2 1 2\n"
+            "2 2 1 3\n"
+            "section candidates_per_level 3\n"
+            "0 1\n"
+            "0 5\n"
+            "0 10\n"
+            "section frequent_per_level 3\n"
+            "0 1\n"
+            "0 5\n"
+            "0 4\n"
+            "end\n"
+            "bd+ {4} {0, 1} {0, 2} {1, 2} {1, 3}\n");
+}
+
+TEST(RobustnessGoldenCheckpointTest, Stream) {
+  // Boundary 1 trips on its first fresh count (level 2); boundary 2 once
+  // at level 2 and, with room for two fresh counts, at level 3 — whose
+  // resume replays levels 1 and 2 from the tracked supports.
+  EXPECT_EQ(StreamGolden(1, 1),
+            "hgmine-checkpoint v1\n"
+            "kind stream\n"
+            "width 4\n"
+            "scalar window_index 1\n"
+            "scalar next_level 2\n"
+            "scalar evaluations 0\n"
+            "scalar reused 5\n"
+            "scalar min_support 2\n"
+            "scalar rows_in_window 4\n"
+            "section tracked 5\n"
+            "1 3 0\n"
+            "1 4 1\n"
+            "1 2 2\n"
+            "1 1 3\n"
+            "2 3 0 1\n"
+            "end\n"
+            "bd+ {0} {1} {2}\n");
+  EXPECT_EQ(StreamGolden(2, 1),
+            "hgmine-checkpoint v1\n"
+            "kind stream\n"
+            "width 4\n"
+            "scalar window_index 2\n"
+            "scalar next_level 2\n"
+            "scalar evaluations 0\n"
+            "scalar reused 5\n"
+            "scalar min_support 2\n"
+            "scalar rows_in_window 4\n"
+            "section tracked 8\n"
+            "1 1 0\n"
+            "1 3 1\n"
+            "1 3 2\n"
+            "1 3 3\n"
+            "2 1 0 1\n"
+            "2 1 0 2\n"
+            "2 2 1 2\n"
+            "3 1 0 1 2\n"
+            "end\n"
+            "bd+ {1} {2} {3}\n");
+  EXPECT_EQ(StreamGolden(2, 2),
+            "hgmine-checkpoint v1\n"
+            "kind stream\n"
+            "width 4\n"
+            "scalar window_index 2\n"
+            "scalar next_level 3\n"
+            "scalar evaluations 2\n"
+            "scalar reused 6\n"
+            "scalar min_support 2\n"
+            "scalar rows_in_window 4\n"
+            "section tracked 10\n"
+            "1 1 0\n"
+            "1 3 1\n"
+            "1 3 2\n"
+            "1 3 3\n"
+            "2 1 0 1\n"
+            "2 1 0 2\n"
+            "2 2 1 2\n"
+            "2 2 1 3\n"
+            "2 2 2 3\n"
+            "3 1 0 1 2\n"
+            "end\n"
+            "bd+ {1, 2} {1, 3} {2, 3}\n");
 }
 
 // Pins the clamp contract documented on RetryPolicy: max_backoff_us is a

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_set>
+#include <vector>
+
 #include "common/random.h"
 #include "core/dualize_advance.h"
 #include "core/levelwise.h"
@@ -124,6 +128,67 @@ INSTANTIATE_TEST_SUITE_P(
                       WorkloadCase{10, 1, 9, 2, 0, 8},
                       WorkloadCase{18, 5, 6, 2, 12, 9},
                       WorkloadCase{9, 8, 2, 2, 3, 10}));
+
+/// A random down-closed family over n items: the downward closure of up
+/// to `seeds` random sets (each item kept with probability `density`).
+std::vector<Bitset> RandomDownClosed(size_t n, size_t seeds, double density,
+                                     Rng* rng) {
+  std::vector<Bitset> tops;
+  for (size_t i = 0; i < seeds; ++i) {
+    Bitset x(n);
+    for (size_t v = 0; v < n; ++v) {
+      if (rng->Bernoulli(density)) x.Set(v);
+    }
+    tops.push_back(std::move(x));
+  }
+  return DownwardClosure(tops, n);
+}
+
+/// Checks every route to the borders of the down-closed family \p s —
+/// the one-walk BordersOfDownClosed, NegativeBorderViaGeneration, and a
+/// levelwise run whose predicate is membership in s — against the
+/// brute-force references AntichainMaximize and NegativeBorderBrute.
+void ExpectBordersMatchBrute(const std::vector<Bitset>& s, size_t n) {
+  std::vector<Bitset> want_plus = s;
+  AntichainMaximize(&want_plus);
+  CanonicalSort(&want_plus);
+  const std::vector<Bitset> want_minus = NegativeBorderBrute(s, n);
+
+  Borders borders = BordersOfDownClosed(s, n);
+  EXPECT_EQ(borders.positive, want_plus);
+  EXPECT_EQ(borders.negative, want_minus);
+  EXPECT_EQ(NegativeBorderViaGeneration(s, n), want_minus);
+
+  std::unordered_set<Bitset, BitsetHash> members(s.begin(), s.end());
+  FunctionOracle in_s(n, [&](const Bitset& x) { return members.contains(x); });
+  LevelwiseResult lw = RunLevelwise(&in_s);
+  EXPECT_EQ(lw.theory, s);
+  EXPECT_EQ(lw.positive_border, want_plus);
+  EXPECT_EQ(lw.negative_border, want_minus);
+  EXPECT_EQ(lw.queries, s.size() + want_minus.size());
+}
+
+TEST(DownClosedBordersTest, EmptyFamilyAndEmptySet) {
+  for (size_t n : {size_t{0}, size_t{1}, size_t{5}}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    // Th = {}: nothing is interesting, Bd+ = {} and Bd- = {∅}.
+    ExpectBordersMatchBrute({}, n);
+    // Th = {∅}: Bd+ = {∅} and Bd- = every singleton.
+    ExpectBordersMatchBrute({Bitset(n)}, n);
+  }
+}
+
+TEST(DownClosedBordersTest, RandomDownClosedFamilies) {
+  Rng rng(1812);
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t n = 1 + rng.UniformIndex(12);
+    const size_t seeds = 1 + rng.UniformIndex(6);
+    const double density = 0.2 + 0.6 * rng.UniformDouble();
+    SCOPED_TRACE("trial " + std::to_string(trial) + ", n = " +
+                 std::to_string(n));
+    ExpectBordersMatchBrute(RandomDownClosed(n, seeds, density, &rng), n);
+  }
+}
 
 TEST(MonotonicityCheckerTest, FlagsNonMonotonePredicate) {
   // "Interesting iff |x| is even" is blatantly non-monotone.
