@@ -396,6 +396,12 @@ class Bitset {
   std::vector<uint64_t> words_;
 };
 
+/// The canonical family order: by size, then by value.
+inline bool CanonicalLess(const Bitset& a, const Bitset& b) {
+  const size_t ca = a.Count(), cb = b.Count();
+  return ca != cb ? ca < cb : a < b;
+}
+
 /// Hash functor for unordered containers keyed by Bitset.
 struct BitsetHash {
   size_t operator()(const Bitset& b) const { return b.HashValue(); }

@@ -9,17 +9,6 @@
 
 namespace hgm {
 
-namespace {
-
-/// Sort key: cardinality first, then word order; gives deterministic,
-/// human-friendly edge listings.
-bool CanonicalLess(const Bitset& a, const Bitset& b) {
-  size_t ca = a.Count(), cb = b.Count();
-  if (ca != cb) return ca < cb;
-  return a < b;
-}
-
-}  // namespace
 
 size_t Hypergraph::TotalEdgeSize() const {
   size_t total = 0;

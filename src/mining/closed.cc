@@ -27,12 +27,7 @@ std::vector<FrequentItemset> MineClosedFrequentSets(TransactionDatabase* db,
   std::vector<FrequentItemset> out;
   out.reserve(closed.size());
   for (auto& [items, support] : closed) out.push_back({items, support});
-  std::sort(out.begin(), out.end(),
-            [](const FrequentItemset& a, const FrequentItemset& b) {
-              size_t ca = a.items.Count(), cb = b.items.Count();
-              if (ca != cb) return ca < cb;
-              return a.items < b.items;
-            });
+  SortFrequent(&out);
   return out;
 }
 

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "core/theory.h"
-#include "hypergraph/transversal_berge.h"
 
 namespace hgm {
 
@@ -79,10 +78,9 @@ SamplingResult MineWithSampling(TransactionDatabase* db, size_t min_support,
   }
 
   // --- 4. Repair passes: grow until the negative border is clean. ------
-  BergeTransversals berge;
   while (true) {
     std::vector<Bitset> border =
-        NegativeBorderViaTransversals(verified_frequent, n, &berge);
+        NegativeBorderViaGeneration(verified_frequent, n);
     bool grew = false;
     for (const auto& x : border) {
       if (support.contains(x)) continue;  // already known infrequent/freq
