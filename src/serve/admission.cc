@@ -40,10 +40,12 @@ AdmissionDecision AdmissionController::TryAdmit(
   return d;
 }
 
-void AdmissionController::OnFinish(uint64_t budget_ms) {
+void AdmissionController::OnFinish(uint64_t budget_ms, uint64_t service_us) {
   MutexLock lock(mu_);
   if (inflight_ > 0) --inflight_;
   inflight_ms_ = inflight_ms_ > budget_ms ? inflight_ms_ - budget_ms : 0;
+  ++finished_;
+  service_us_ += service_us;
   HGM_OBS_GAUGE_SET("serve.inflight", inflight_);
 }
 
@@ -69,7 +71,8 @@ uint64_t AdmissionController::inflight_ms() const {
 
 uint64_t AdmissionController::RetryAfterMs() const {
   const size_t workers = config_.workers == 0 ? 1 : config_.workers;
-  const uint64_t drain = inflight_ms_ / workers;
+  const uint64_t mean_us = finished_ == 0 ? 0 : service_us_ / finished_;
+  const uint64_t drain = inflight_ * mean_us / workers / 1000;
   return drain < 10 ? 10 : drain;
 }
 

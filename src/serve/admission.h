@@ -15,6 +15,9 @@
 /// instead of joining a queue it would time out in.  Shedding early and
 /// loudly is the graceful-degradation contract: under overload the
 /// service stays correct and responsive for the work it does accept.
+/// The `retry_after_ms` hint is how long the admitted requests take to
+/// drain at the measured service time, not at their deadlines: a request
+/// that runs for microseconds must not tell clients to wait seconds.
 
 #include <cstdint>
 
@@ -34,8 +37,8 @@ struct AdmissionConfig {
   /// Hard ceiling on any request's deadline (a client asking for more is
   /// clamped, not rejected).
   uint64_t max_deadline_ms = 30000;
-  /// Worker count, for the retry-after estimate (how fast the in-flight
-  /// budget drains).
+  /// Worker count, for the retry-after estimate (how fast the admitted
+  /// requests drain).
   size_t workers = 2;
 };
 
@@ -66,8 +69,9 @@ class AdmissionController {
   AdmissionDecision TryAdmit(uint64_t requested_deadline_ms)
       HGM_EXCLUDES(mu_);
 
-  /// Refunds the slot and budget charged by an admitted request.
-  void OnFinish(uint64_t budget_ms) HGM_EXCLUDES(mu_);
+  /// Refunds the slot and budget charged by an admitted request, and
+  /// records how long it took to execute.
+  void OnFinish(uint64_t budget_ms, uint64_t service_us) HGM_EXCLUDES(mu_);
 
   /// Stops admitting; already-admitted requests are unaffected.
   void CloseAdmissions() HGM_EXCLUDES(mu_);
@@ -77,9 +81,9 @@ class AdmissionController {
   uint64_t inflight_ms() const HGM_EXCLUDES(mu_);
 
  private:
-  /// How long until enough in-flight budget drains for a retry to stand
-  /// a chance: the in-flight milliseconds split across the workers, with
-  /// a floor so clients never spin at zero.
+  /// How long until the admitted requests drain: their count times the
+  /// mean measured service time, split across the workers, with a floor
+  /// so clients never spin at zero.  The floor until a request finishes.
   uint64_t RetryAfterMs() const HGM_REQUIRES(mu_);
 
   const AdmissionConfig config_;
@@ -87,6 +91,8 @@ class AdmissionController {
   size_t inflight_ HGM_GUARDED_BY(mu_) = 0;
   uint64_t inflight_ms_ HGM_GUARDED_BY(mu_) = 0;
   bool closed_ HGM_GUARDED_BY(mu_) = false;
+  uint64_t finished_ HGM_GUARDED_BY(mu_) = 0;
+  uint64_t service_us_ HGM_GUARDED_BY(mu_) = 0;  // summed over finished_
 };
 
 }  // namespace serve

@@ -338,7 +338,7 @@ void Server::WorkerLoop(size_t worker_index) {
     // Settle the ledgers before replying: a closed-loop client's next
     // request may arrive the moment done() returns, and must not be shed
     // against this request's slot.
-    admission_.OnFinish(item.budget_ms);
+    admission_.OnFinish(item.budget_ms, us);
     {
       MutexLock lock(mu_);
       inflight_.erase(ticket);

@@ -155,11 +155,11 @@ TEST(ServeAdmissionTest, ShedsOnQueueOverflowAndRefundsOnFinish) {
   EXPECT_STREQ(c.shed_reason, "queue_full");
   EXPECT_GE(c.retry_after_ms, 10u);  // floor: clients never spin at zero
 
-  admission.OnFinish(a.budget_ms);
+  admission.OnFinish(a.budget_ms, 1000);
   AdmissionDecision d = admission.TryAdmit(100);
   EXPECT_TRUE(d.admitted);
-  admission.OnFinish(b.budget_ms);
-  admission.OnFinish(d.budget_ms);
+  admission.OnFinish(b.budget_ms, 1000);
+  admission.OnFinish(d.budget_ms, 1000);
   EXPECT_EQ(admission.admitted_inflight(), 0u);
   EXPECT_EQ(admission.inflight_ms(), 0u);
 }
@@ -174,8 +174,8 @@ TEST(ServeAdmissionTest, DeadlinesAreDefaultedAndClamped) {
   EXPECT_EQ(by_default.budget_ms, 750u);
   AdmissionDecision clamped = admission.TryAdmit(999999);
   EXPECT_EQ(clamped.budget_ms, 1000u);  // clamped, not rejected
-  admission.OnFinish(by_default.budget_ms);
-  admission.OnFinish(clamped.budget_ms);
+  admission.OnFinish(by_default.budget_ms, 1000);
+  admission.OnFinish(clamped.budget_ms, 1000);
 }
 
 TEST(ServeAdmissionTest, ShedsOnInflightBudgetExhaustion) {
@@ -190,7 +190,7 @@ TEST(ServeAdmissionTest, ShedsOnInflightBudgetExhaustion) {
   AdmissionDecision b = admission.TryAdmit(900);
   EXPECT_FALSE(b.admitted);
   EXPECT_STREQ(b.shed_reason, "inflight_budget");
-  admission.OnFinish(a.budget_ms);
+  admission.OnFinish(a.budget_ms, 1000);
   EXPECT_TRUE(admission.TryAdmit(900).admitted);
 }
 
@@ -203,8 +203,36 @@ TEST(ServeAdmissionTest, DrainingShedsEverythingNew) {
   EXPECT_FALSE(after.admitted);
   EXPECT_STREQ(after.shed_reason, "draining");
   // In-flight work still finishes and refunds after the close.
-  admission.OnFinish(before.budget_ms);
+  admission.OnFinish(before.budget_ms, 1000);
   EXPECT_EQ(admission.admitted_inflight(), 0u);
+}
+
+TEST(ServeAdmissionTest, RetryAfterFollowsMeasuredServiceTime) {
+  AdmissionConfig config;  // 2 s default deadline, 2 workers
+  AdmissionController admission(config);
+  auto fill = [&](std::vector<AdmissionDecision>* held) {
+    for (;;) {
+      AdmissionDecision d = admission.TryAdmit(0);
+      if (!d.admitted) return d;
+      held->push_back(d);
+    }
+  };
+  // Before any request has finished there is no service time to go by.
+  std::vector<AdmissionDecision> held;
+  EXPECT_EQ(fill(&held).retry_after_ms, 10u);
+  // Requests that ran for ~1 ms each: the admitted ones drain in
+  // |held| * 1 ms / 2 workers, not in their summed 2 s deadlines.
+  for (const AdmissionDecision& d : held) {
+    admission.OnFinish(d.budget_ms, 1000);
+  }
+  held.clear();
+  AdmissionDecision shed = fill(&held);
+  EXPECT_FALSE(shed.admitted);
+  EXPECT_GE(held.size(), 10u);
+  EXPECT_LE(shed.retry_after_ms, 50u);
+  for (const AdmissionDecision& d : held) {
+    admission.OnFinish(d.budget_ms, 1000);
+  }
 }
 
 // ---- session -----------------------------------------------------------
