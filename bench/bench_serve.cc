@@ -182,10 +182,11 @@ int main(int argc, char** argv) {
   }
 
   // ---- burst phase -------------------------------------------------
-  // 4x more concurrent sleepers than (queue + workers): admission must
-  // answer the overflow with typed unavailable sheds, quickly.
-  const size_t kBurst =
-      4 * (config.admission.max_queue + config.workers);
+  // 6x more concurrent sleepers than admission slots.  max_queue counts
+  // queued and executing requests alike, so the server owns max_queue
+  // slots, not max_queue + workers; admission must answer the overflow
+  // with typed unavailable sheds, quickly.
+  const size_t kBurst = 6 * config.admission.max_queue;
   std::atomic<uint64_t> burst_shed{0}, burst_ok{0}, burst_bad{0};
   {
     std::vector<std::thread> clients;

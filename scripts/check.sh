@@ -29,24 +29,29 @@
 #                             diffed against bench/baselines/ (counts
 #                             exact, timings ratio-thresholded).  Skipped
 #                             when python3 is not installed.
-#  10. audited build          -DHGMINE_AUDIT=ON, full ctest with every
+#  10. perfbench              the benchmark's own build and driver
+#                             (perfbench/, which tier-1 never compiles):
+#                             its stats unit tests, then every workload
+#                             for one second, plus a traced quest_batch.
+#                             Skipped when python3 is not installed.
+#  11. audited build          -DHGMINE_AUDIT=ON, full ctest with every
 #                             paper-contract auditor live
-#  11. thread-safety          clang -Wthread-safety -Werror=thread-safety
+#  12. thread-safety          clang -Wthread-safety -Werror=thread-safety
 #                             build (the `analyze` preset's configuration;
 #                             compile-only).  Skipped when clang is not
 #                             installed, like the lint stages.
-#  12. invariant queries      clang-query rule selftest + the rules over
+#  13. invariant queries      clang-query rule selftest + the rules over
 #                             src/ (scripts/lint_query_selftest.sh; also
 #                             part of stage 1's lint.sh).  Skipped when
 #                             clang-query is not installed.
-#  13. ASan+UBSan build       HGMINE_SANITIZE=address
-#  14. TSan build             HGMINE_SANITIZE=thread (parallel batch
+#  14. ASan+UBSan build       HGMINE_SANITIZE=address
+#  15. TSan build             HGMINE_SANITIZE=thread (parallel batch
 #                             layer; full ctest includes the chaos and
 #                             serve suites, so fault injection and the
 #                             daemon's thread choreography run under
 #                             TSan too)
 #
-# Stages 13 and 14 are skipped with --fast.  Build dirs are check-* so
+# Stages 14 and 15 are skipped with --fast.  Build dirs are check-* so
 # they never collide with a developer's build/.
 #
 # Usage: scripts/check.sh [--fast]
@@ -131,6 +136,23 @@ if command -v python3 > /dev/null 2>&1; then
     bench/baselines/BENCH_stream_quick.json
 else
   echo "bench gate: skipped (python3 not installed)"
+fi
+
+echo "==== check: perfbench ===="
+# perfbench/ builds against src/ but is not part of the CMake tree above,
+# so an src/ API change it uses (AprioriGen, AprioriOptions fields,
+# PrefixCoverCache, ...) would otherwise only break the benchmark run.
+# Any failed check inside a workload exits nonzero and fails this stage.
+if command -v python3 > /dev/null 2>&1; then
+  python3 -m unittest discover -s perfbench -p 'test_*.py'
+  for workload in quest_batch long_borders stream_window serve_mixed; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+      --trace 0
+  done
+  python3 perfbench/run.py --workload quest_batch --seed 1 --seconds 1 \
+    --trace 1
+else
+  echo "perfbench: skipped (python3 not installed)"
 fi
 
 run_matrix_entry audit -DHGMINE_WERROR=ON -DHGMINE_AUDIT=ON

@@ -16,6 +16,10 @@
 ///
 /// Theorem 12 bounds queries by dc(k) * width(L) * |MTh|; for frequent
 /// sets this is 2^k * n * |MTh| (Corollary 13).
+///
+/// The level loop itself, Bd+ included, is common/level_loop.h; this
+/// file supplies its oracle kernel (one EvaluateBatch per level) plus
+/// the checkpoint format.
 
 #include <cstdint>
 #include <optional>

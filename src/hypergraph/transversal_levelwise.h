@@ -14,7 +14,8 @@
 /// needs constant k.
 ///
 /// Note (as the paper stresses) the algorithm never inspects the structure
-/// of H beyond asking "is this subset a transversal?".
+/// of H beyond asking "is this subset a transversal?": that question is
+/// the whole kernel it hands the shared level loop (common/level_loop.h).
 
 #include "common/thread_pool.h"
 #include "hypergraph/transversal.h"
