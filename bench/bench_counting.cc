@@ -154,8 +154,8 @@ int main(int argc, char** argv) {
                "candidate writes its own\nslot, so output, supports, and "
                "the Theorem-10 query tally are identical\nat every thread "
                "count (asserted above).  Only that batch is parallel: "
-               "the join and the\nmaximal-set sweep run serially and cap "
-               "the speedup.\n";
+               "the join, the\nlevel split and the output sort run "
+               "serially and cap the speedup.\n";
 
   harness.AddPayload("runs", RunsJson(records));
   std::cout << (failures == 0 ? "ALL RUNS AGREE\n" : "MISMATCH\n");
