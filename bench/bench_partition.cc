@@ -1,10 +1,10 @@
 // Shard-count sweep for the two-phase partition miner.
 //
-// Phase 1 mines each of K row shards locally at the scaled threshold
-// (sequential shards on the full pool when K is small, one shard per
-// pool task otherwise); phase 2 confirms the candidate union levelwise
-// with prefix-cached counting, reusing exact phase-1 sums for candidates
-// locally frequent in every shard.  The sweep runs K in {1, 2, 4, 8} x
+// Phase 1 mines each of K row shards locally at the scaled threshold, all
+// shards in one levelwise walk over the union of their local theories
+// (each level counted across candidates on the pool); phase 2 confirms
+// the candidate union levelwise, reusing exact phase-1 sums for
+// candidates locally frequent in every shard.  The sweep runs K in {1, 2, 4, 8} x
 // threads {1, 4} on 50k- and 200k-row Quest workloads at 2.5% support,
 // asserts the frequent sets, supports, maximal sets, and negative border
 // are bit-identical to the single-thread Apriori baseline for every
@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
   std::cout << "shape: candidates locally frequent in every shard reuse "
                "their exact\nphase-1 sums (at K=1 that is the whole "
                "theory — zero phase-2 passes);\nthe rest are confirmed "
-               "levelwise with prefix-cached counting, inside\nthe "
+               "levelwise, counted over item covers, inside\nthe "
                "Theorem 10 allowance |Th| + |Bd-(Th)| (asserted).  "
                "Phase 1 keeps\nthe full pool busy at any K; each shard's "
                "working set is its own rows\nplus tidsets — the knob "

@@ -334,5 +334,23 @@ TEST(PartitionMinerTest, BoundReportHolds) {
   }
 }
 
+// Past 64 shards phase 1 runs one walk per group of 64 and merges their
+// unions, and exact-count reuse is off; the output is still Apriori's.
+TEST(PartitionMinerTest, MoreThan64ShardsMatchApriori) {
+  TransactionDatabase db = QuestDatabase(17);
+  AprioriResult reference = MineFrequentSets(&db, 20);
+  ShardedTransactionDatabase sharded = ShardedTransactionDatabase::Split(db, 70);
+  PartitionResult r = MinePartitioned(&sharded, 20);
+  ASSERT_TRUE(r.status.ok());
+  ASSERT_EQ(r.frequent.size(), reference.frequent.size());
+  for (size_t i = 0; i < r.frequent.size(); ++i) {
+    EXPECT_EQ(r.frequent[i].items, reference.frequent[i].items);
+    EXPECT_EQ(r.frequent[i].support, reference.frequent[i].support);
+  }
+  EXPECT_EQ(r.maximal, reference.maximal);
+  EXPECT_EQ(r.negative_border, reference.negative_border);
+  EXPECT_EQ(r.phase2_reused, 0u);
+}
+
 }  // namespace
 }  // namespace hgm
