@@ -328,6 +328,60 @@ TEST(ChaosPartitionTest, SingleDeadShardKeepsSurvivorsUnion) {
   }
 }
 
+TEST(ChaosPartitionTest, FaultInsideGroupWalkFailsOnlyItsShard) {
+  // Phase 1 mines all four shards in one walk, and the fault hook fires
+  // inside it.  The walk's failure must stay with the shard that raised
+  // it: the other shards keep their local theories even when no retry is
+  // allowed, and a transient fault heals with a single retry.
+  TransactionDatabase db = QuestDatabase(7);
+  ShardedTransactionDatabase sharded =
+      ShardedTransactionDatabase::Split(db, 4);
+  PartitionResult clean = MinePartitioned(&sharded, 8);
+  ASSERT_TRUE(clean.status.ok());
+
+  for (size_t bad = 0; bad < 4; ++bad) {
+    PartitionOptions opts;
+    opts.shard_fault_hook = [bad](size_t shard, size_t) {
+      if (shard == bad) throw FaultError("shard fails mid-walk", false);
+    };
+    opts.retry.max_attempts = 1;
+    opts.sleeper = [](uint64_t) {};
+    PartitionResult broken = MinePartitioned(&sharded, 8, opts);
+    EXPECT_EQ(broken.status.code(), StatusCode::kUnavailable);
+    EXPECT_EQ(broken.failed_shards, std::vector<size_t>{bad});
+    EXPECT_EQ(broken.shard_retries, 0u);
+    for (size_t k = 0; k < 4; ++k) {
+      if (k == bad) continue;
+      EXPECT_EQ(broken.local_frequent_per_shard[k],
+                clean.local_frequent_per_shard[k])
+          << "bad shard " << bad << ", shard " << k;
+    }
+    EXPECT_FALSE(broken.frequent.empty());
+    for (const auto& f : broken.frequent) {
+      EXPECT_EQ(db.Support(f.items), f.support);
+    }
+
+    opts.shard_fault_hook = [bad](size_t shard, size_t attempt) {
+      if (shard == bad && attempt == 0) {
+        throw FaultError("shard fails mid-walk once", true);
+      }
+    };
+    opts.retry.max_attempts = 2;
+    PartitionResult healed = MinePartitioned(&sharded, 8, opts);
+    ASSERT_TRUE(healed.status.ok()) << healed.status.message();
+    EXPECT_EQ(healed.shard_retries, 1u);
+    EXPECT_EQ(healed.local_frequent_per_shard,
+              clean.local_frequent_per_shard);
+    ASSERT_EQ(healed.frequent.size(), clean.frequent.size());
+    for (size_t i = 0; i < clean.frequent.size(); ++i) {
+      EXPECT_EQ(healed.frequent[i].items, clean.frequent[i].items);
+      EXPECT_EQ(healed.frequent[i].support, clean.frequent[i].support);
+    }
+    EXPECT_EQ(healed.maximal, clean.maximal);
+    EXPECT_EQ(healed.negative_border, clean.negative_border);
+  }
+}
+
 TEST(ChaosShardScheduleTest, DeterministicAcrossRuns) {
   FaultSpec spec;
   spec.transient_rate = 0.5;
