@@ -1,12 +1,6 @@
 #include "bench_harness.h"
 
-#include <fstream>
 #include <iostream>
-
-#include "obs/flight_recorder.h"
-#include "obs/metrics.h"
-#include "obs/resource.h"
-#include "obs/trace.h"
 
 namespace hgm {
 namespace bench {
@@ -25,8 +19,7 @@ std::string DefaultOutPath(const std::string& name) {
 }  // namespace
 
 BenchHarness::BenchHarness(const std::string& name, int argc,
-                           char* const* argv)
-    : start_(std::chrono::steady_clock::now()) {
+                           char* const* argv) {
   report_.kind = "bench";
   report_.name = name;
   report_.host = obs::CollectHostInfo();
@@ -63,29 +56,14 @@ int BenchHarness::Finish(int failures) {
               << " check(s) failed; not writing " << out_path_ << "\n";
     return 1;
   }
-  const auto elapsed = std::chrono::steady_clock::now() - start_;
-  report_.wall_ms =
-      std::chrono::duration<double, std::milli>(elapsed).count();
-  report_.memory = obs::ReadMemory();  // raw read: works with metrics off
-  if (obs::AllocationCountingAvailable()) {
-    report_.alloc = obs::GlobalAllocStats();
+  report_.wall_ms = watch_.Millis();
+  obs::CaptureRuntime(&report_);
+  Status s = obs::WriteRunReport(report_, out_path_);
+  if (!s.ok()) {
+    std::cerr << "bench_harness: " << s.message() << "\n";
+    return 1;
   }
-  if (obs::MetricsOn()) {
-    report_.metrics = obs::MetricsRegistry::Global().Snapshot();
-  }
-  report_.phases = obs::Tracer::Global().PhaseTotals();
-  report_.flight = obs::FlightRecorder::Global().Snapshot();
-
-  if (out_path_ == "-") {
-    report_.WriteJson(std::cout);
-  } else {
-    std::ofstream out(out_path_);
-    if (!out) {
-      std::cerr << "bench_harness: cannot open " << out_path_
-                << " for writing\n";
-      return 1;
-    }
-    report_.WriteJson(out);
+  if (out_path_ != "-") {
     std::cout << "\nwrote " << out_path_ << " (hgm.run_report schema v"
               << obs::RunReport::kSchemaVersion << ")\n";
   }

@@ -26,9 +26,9 @@
 /// `--bench-out=<path|->` overrides the default BENCH_<suffix>.json
 /// destination; everything else in argv is left for the bench to parse.
 
-#include <chrono>
 #include <string>
 
+#include "common/stopwatch.h"
 #include "obs/run_report.h"
 
 namespace hgm {
@@ -67,7 +67,7 @@ class BenchHarness {
   obs::RunReport report_;
   std::string out_path_;
   bool out_path_forced_ = false;  // --bench-out beats SetDefaultOutPath
-  std::chrono::steady_clock::time_point start_;
+  StopWatch watch_;
 };
 
 }  // namespace bench

@@ -1,19 +1,15 @@
 // hgmine_cli: command-line frequent-set / maximal-set / rule miner.
 //
-// Usage:
-//   hgmine_cli mine <basket-file> <min-support> [--rules <min-conf>]
-//                   [--maximal] [--closed] [--algo levelwise|dualize|dfs]
-//                   [--shards=K] [--metrics=<path|->] [--trace=<path>]
-//                   [--report=<path|->] [--flight=<path>]
-//                   [--deadline-ms=N] [--max-queries=N]
-//                   [--checkpoint=<path>] [--resume=<path>]
-//                   [--chaos-seed=N] [--exact-border]
-//   hgmine_cli follow <basket-file|-> <min-support> --window=N [--slide=M]
-//                   [--items=U] [--cross-check] [--metrics=<path|->]
-//                   [--trace=<path>] [--report=<path|->] [--flight=<path>]
-//                   [--deadline-ms=N] [--max-queries=N]
-//                   [--checkpoint=<path>]
+// Usage (Usage() below prints every flag):
+//   hgmine_cli mine <basket-file> <min-support> [mine flags] [shared flags]
+//   hgmine_cli follow <basket-file|-> <min-support> --window=N
+//                     [follow flags] [shared flags]
 //   hgmine_cli demo
+//
+// Both commands run one pipeline: one flag table (each command's own
+// flags plus the shared ones), one telemetry setup, one envelope writer,
+// one partial exit and one epilogue.  `mine` and `follow` differ only in
+// what they run and what they print.
 //
 // Basket format: one transaction per line, whitespace-separated item ids;
 // '#' comments.  `demo` writes a small file and mines it, so the tool is
@@ -27,15 +23,17 @@
 // ('-' streams them to stdout, a path gets a .w<k>.json suffix per
 // boundary).  --deadline-ms / --max-queries budget each boundary's repair;
 // a trip prints the certified prefix, saves --checkpoint if given, and
-// exits 3.  --cross-check re-derives Bd- from Th via the Theorem-7 Berge
-// dualization at every boundary and aborts on drift.
+// exits 3.  No command resumes that stream checkpoint yet: `follow` has
+// no --resume and `mine --resume` rejects kind "stream".  --cross-check
+// re-derives Bd- from Th via the Theorem-7 Berge dualization at every
+// boundary and aborts on drift.
 //
 // --shards=K       mines through the sharded partition backend (K row
 //                  shards, two-phase confirmation) instead of the
 //                  single-database Apriori; output is bit-identical;
 // --metrics=-      prints the telemetry registry as a table, plus the
 //                  paper-bound report (Theorem 10 / Corollary 13 ratios)
-//                  when a levelwise or dualize run populated its gauges;
+//                  of every engine that populated its gauges;
 // --metrics=<path> writes the same data as JSON;
 // --trace=<path>   writes Chrome/Perfetto trace-event JSON (load it in
 //                  chrome://tracing or ui.perfetto.dev);
@@ -72,10 +70,13 @@
 
 #include <signal.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <optional>
@@ -83,6 +84,7 @@
 #include <string>
 
 #include "common/parse.h"
+#include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "core/checkpoint.h"
 #include "mining/apriori.h"
@@ -97,7 +99,6 @@
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/resource.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "testing/fault_injection.h"
@@ -124,20 +125,17 @@ void InstallInterruptHandlers() {
 int Usage() {
   std::cerr
       << "usage: hgmine_cli mine <basket-file> <min-support>\n"
-         "                  [--rules <min-conf>] [--maximal] [--closed]\n"
-         "                  [--algo levelwise|dualize|dfs] [--shards=K]\n"
-         "                  [--metrics=<path|->] [--trace=<path>]\n"
-         "                  [--report=<path|->] [--flight=<path>]\n"
-         "                  [--deadline-ms=N] [--max-queries=N]\n"
-         "                  [--checkpoint=<path>] [--resume=<path>]\n"
-         "                  [--chaos-seed=N] [--exact-border]\n"
+         "           [--rules <min-conf>] [--maximal] [--closed]\n"
+         "           [--algo levelwise|dualize|dfs]\n"
+         "           [--shards=K] [--resume=<path>] [--chaos-seed=N]\n"
+         "           [--exact-border] [shared flags]\n"
          "       hgmine_cli follow <basket-file|-> <min-support> --window=N\n"
-         "                  [--slide=M] [--items=U] [--cross-check]\n"
-         "                  [--metrics=<path|->] [--trace=<path>]\n"
-         "                  [--report=<path|->] [--flight=<path>]\n"
-         "                  [--deadline-ms=N] [--max-queries=N]\n"
-         "                  [--checkpoint=<path>]\n"
-         "       hgmine_cli demo\n";
+         "           [--slide=M] [--items=U] [--cross-check] [shared flags]\n"
+         "       hgmine_cli demo\n"
+         "shared flags: [--metrics=<path|->] [--trace=<path>]\n"
+         "           [--report=<path|->] [--flight=<path>]\n"
+         "           [--deadline-ms=N] [--max-queries=N]\n"
+         "           [--checkpoint=<path>]\n";
   return 2;
 }
 
@@ -153,33 +151,61 @@ bool ParseFlagUint(const std::string& flag, const std::string& value,
   return true;
 }
 
-/// Exports the metrics registry (plus any bound report whose gauges are
-/// populated) to stdout as tables, or to a file as one JSON object.
+/// The largest --max-queries / --chaos-seed value.
+constexpr uint64_t kMaxCount = std::numeric_limits<uint64_t>::max() - 1;
+
+/// One row of a command's flag table.  A kSwitch flag is the bare name,
+/// a kInline one is `--name=value`, and the two older flags (`--rules`,
+/// `--algo`) take the next word.  `set` returns false on a usage error it
+/// has already reported.
+struct Flag {
+  enum class Form { kSwitch, kInline, kNextWord };
+  std::string name;
+  Form form;
+  std::function<bool(const std::string& value)> set;
+};
+
+Flag SwitchFlag(const std::string& name, bool* out) {
+  return {name, Flag::Form::kSwitch,
+          [out](const std::string&) { return *out = true; }};
+}
+
+/// \p min_value > 0 rejects smaller values ("--shards must be >= 1").
+Flag UintFlag(const std::string& name, uint64_t max_value, uint64_t* out,
+              uint64_t min_value = 0) {
+  return {name, Flag::Form::kInline, [=](const std::string& value) {
+            if (!ParseFlagUint(name, value, max_value, out)) return false;
+            if (*out >= min_value) return true;
+            std::cerr << "error: " << name << " must be >= " << min_value
+                      << "\n";
+            return false;
+          }};
+}
+
+/// An empty path (`--trace=`) is a usage error.
+Flag PathFlag(const std::string& name, std::string* out) {
+  return {name, Flag::Form::kInline, [out](const std::string& value) {
+            *out = value;
+            if (value.empty()) Usage();
+            return !value.empty();
+          }};
+}
+
+/// Exports the metrics registry (plus every populated bound report) to
+/// stdout as tables, or to a file as one JSON object.
 int ExportMetrics(const std::string& dest) {
   using namespace hgm;
   obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
-  const bool have_levelwise = snap.GaugeValue("levelwise.last_width") != 0;
-  const bool have_da = snap.GaugeValue("da.last_width") != 0;
-  const bool have_partition = snap.GaugeValue("partition.last_shards") != 0;
-  const bool have_stream = snap.GaugeValue("stream.last_window_rows") != 0;
+  const auto bounds = obs::BoundReportsFromRegistry(snap);
   if (dest == "-") {
     std::cout << "\ntelemetry:\n";
     obs::PrintMetricsTable(snap, std::cout);
-    if (have_levelwise) {
-      std::cout << "\nlevelwise bound report:\n";
-      obs::LevelwiseBoundReportFromRegistry(snap).Print(std::cout);
-    }
-    if (have_da) {
-      std::cout << "\ndualize-advance bound report:\n";
-      obs::DualizeAdvanceBoundReportFromRegistry(snap).Print(std::cout);
-    }
-    if (have_partition) {
-      std::cout << "\npartition bound report:\n";
-      obs::PartitionBoundReportFromRegistry(snap).Print(std::cout);
-    }
-    if (have_stream) {
-      std::cout << "\nstream bound report (last boundary):\n";
-      obs::StreamBoundReportFromRegistry(snap).Print(std::cout);
+    for (const auto& [name, report] : bounds) {
+      std::string title = name;  // "dualize_advance" -> "dualize-advance"
+      std::replace(title.begin(), title.end(), '_', '-');
+      std::cout << "\n" << title << " bound report"
+                << (name == "stream" ? " (last boundary)" : "") << ":\n";
+      report.Print(std::cout);
     }
     return 0;
   }
@@ -190,36 +216,227 @@ int ExportMetrics(const std::string& dest) {
   }
   out << "{\"metrics\": ";
   obs::WriteJsonSnapshot(snap, out, 2);
-  if (have_levelwise) {
-    out << ",\n\"levelwise_bounds\": ";
-    obs::LevelwiseBoundReportFromRegistry(snap).WriteJson(out, 2);
-  }
-  if (have_da) {
-    out << ",\n\"dualize_advance_bounds\": ";
-    obs::DualizeAdvanceBoundReportFromRegistry(snap).WriteJson(out, 2);
-  }
-  if (have_partition) {
-    out << ",\n\"partition_bounds\": ";
-    obs::PartitionBoundReportFromRegistry(snap).WriteJson(out, 2);
-  }
-  if (have_stream) {
-    out << ",\n\"stream_bounds\": ";
-    obs::StreamBoundReportFromRegistry(snap).WriteJson(out, 2);
+  for (const auto& [name, report] : bounds) {
+    out << ",\n\"" << name << "_bounds\": ";
+    report.WriteJson(out, 2);
   }
   out << "}\n";
   return 0;
 }
 
-std::vector<std::string> ItemNames(size_t n) {
-  std::vector<std::string> names;
-  names.reserve(n);
-  for (size_t i = 0; i < n; ++i) names.push_back("i" + std::to_string(i));
-  return names;
+/// The envelope's dataset section: rows and items plus an FNV-1a digest
+/// of the transaction contents, so two envelopes are known to have mined
+/// the same data before anyone diffs their timings.
+hgm::obs::DatasetInfo DescribeDataset(const std::string& path,
+                                      const hgm::TransactionDatabase& db) {
+  hgm::obs::DatasetInfo ds;
+  ds.path = path;
+  ds.rows = db.num_transactions();
+  ds.items = db.num_items();
+  hgm::obs::Fnv1a64 hash;
+  hash.UpdateU64(db.num_items());
+  for (const hgm::Bitset& row : db.rows()) {
+    for (uint64_t w : row.words()) hash.UpdateU64(w);
+  }
+  ds.fingerprint = hash.HexDigest();
+  return ds;
 }
+
+/// The pipeline `mine` and `follow` share: the positional basket path
+/// and minimum support, the seven shared flags, telemetry, the envelope,
+/// the partial exit and the epilogue.
+class CliRun {
+ public:
+  /// \p kind and \p name label the envelope ("cli" / "stream"); a
+  /// "stream" run's checkpoints cannot be resumed by any command.
+  CliRun(std::string kind, std::string name, std::vector<std::string> args)
+      : kind_(std::move(kind)),
+        name_(std::move(name)),
+        args_(std::move(args)) {}
+
+  /// Parses `<command> <path> <min-support>` and the flags after them
+  /// against \p table plus the shared flags.  Returns 0, or 2 after
+  /// reporting a usage error.
+  int Parse(std::vector<Flag> table) {
+    if (args_.size() < 3) return Usage();
+    path = args_[1];
+    if (!ParseFlagUint("min-support", args_[2],
+                       std::numeric_limits<uint32_t>::max(), &min_support)) {
+      return 2;
+    }
+    table.insert(
+        table.end(),
+        {UintFlag("--deadline-ms", std::numeric_limits<uint32_t>::max(),
+                  &deadline_ms),
+         UintFlag("--max-queries", kMaxCount, &max_queries),
+         PathFlag("--checkpoint", &checkpoint_path),
+         PathFlag("--metrics", &metrics_dest_),
+         PathFlag("--trace", &trace_path_),
+         PathFlag("--report", &report_path),
+         PathFlag("--flight", &flight_path_)});
+    for (size_t i = 3; i < args_.size(); ++i) {
+      const std::string& arg = args_[i];
+      auto flag = std::find_if(table.begin(), table.end(), [&](const Flag& f) {
+        return f.form == Flag::Form::kInline
+                   ? arg.rfind(f.name + "=", 0) == 0
+                   : arg == f.name && (f.form == Flag::Form::kSwitch ||
+                                       i + 1 < args_.size());
+      });
+      if (flag == table.end()) {
+        std::cerr << "error: unknown argument '" << arg << "'\n";
+        return Usage();
+      }
+      std::string value;
+      if (flag->form == Flag::Form::kInline) {
+        value = arg.substr(flag->name.size() + 1);
+      } else if (flag->form == Flag::Form::kNextWord) {
+        value = args_[++i];
+      }
+      if (!flag->set(value)) return 2;
+    }
+    return 0;
+  }
+
+  /// Turns on what the shared flags ask for.  A run report needs the
+  /// metrics snapshot and the tracer's phase totals, so --report implies
+  /// both collectors.
+  void ArmTelemetry() const {
+    using namespace hgm;
+    const bool want_report = !report_path.empty();
+    if (!metrics_dest_.empty() || want_report) obs::EnableMetrics(true);
+    if (!trace_path_.empty() || want_report) obs::Tracer::Global().Start();
+    if (!flight_path_.empty()) {
+      obs::FlightRecorder::Global().SetDumpPath(flight_path_.c_str());
+      obs::FlightRecorder::Global().EnableDumpOnTrip(true);
+      obs::InstallCrashHandlers();
+    }
+  }
+
+  hgm::RunBudget Budget() const {
+    hgm::RunBudget budget;
+    budget.max_duration = std::chrono::milliseconds(deadline_ms);
+    budget.max_queries = max_queries;
+    budget.cancel = g_interrupt.token();
+    return budget;
+  }
+
+  /// Completes \p report (identity, host, build, args, budget outcome,
+  /// checkpoint lineage, runtime sections and the populated bound
+  /// reports) and writes it to \p dest.  A tripped stream boundary
+  /// published no stream gauges (the registry still holds the previous
+  /// boundary's), so its envelope carries no bounds.  Only an envelope at
+  /// the --report path itself is announced on stdout; follow's
+  /// per-boundary files are not.  A no-op without --report.
+  int WriteReport(hgm::obs::RunReport report, const std::string& dest,
+                  hgm::StopReason stop, uint64_t queries) {
+    using namespace hgm;
+    if (report_path.empty()) return 0;
+    report.kind = kind_;
+    report.name = name_;
+    report.host = obs::CollectHostInfo();
+    report.build = obs::CollectBuildInfo();
+    report.args = args_;
+    report.budget = obs::BudgetOutcome{StopReasonName(stop), queries,
+                                       deadline_ms, max_queries};
+    if (!resumed_from.empty() || !checkpoint_written_.empty()) {
+      report.checkpoint = obs::CheckpointLineage{
+          resumed_from, checkpoint_written_, checkpoint_kind};
+    }
+    obs::CaptureRuntime(&report);
+    if (report.metrics &&
+        (stop == StopReason::kCompleted || kind_ != "stream")) {
+      report.bounds = obs::BoundReportsFromRegistry(*report.metrics);
+    }
+    Status s = obs::WriteRunReport(report, dest);
+    if (!s.ok()) {
+      std::cerr << "error: " << s.message() << "\n";
+      return 1;
+    }
+    if (dest == report_path && dest != "-") {
+      std::cout << "wrote run report to " << dest
+                << " (hgm.run_report schema v"
+                << obs::RunReport::kSchemaVersion << ")\n";
+    }
+    return 0;
+  }
+
+  /// The partial exit of a budget trip or interrupt, after the caller
+  /// printed its stop line: save the checkpoint when --checkpoint asks,
+  /// write the envelope, and exit 3 so scripts can tell "partial" from
+  /// "failed".  `mine --resume` takes apriori and partition checkpoints;
+  /// no command resumes a stream one.
+  int FinishPartial(hgm::obs::RunReport report, const std::string& dest,
+                    hgm::StopReason stop, uint64_t queries,
+                    const std::optional<hgm::Checkpoint>& cp) {
+    using namespace hgm;
+    if (!checkpoint_path.empty()) {
+      if (!cp) {
+        std::cerr << "error: budget tripped but no checkpoint was produced\n";
+        return 1;
+      }
+      Status s = SaveCheckpointFile(*cp, checkpoint_path);
+      if (!s.ok()) {
+        std::cerr << "error: " << s.ToString() << "\n";
+        return 1;
+      }
+      checkpoint_written_ = checkpoint_path;
+      std::cout << "checkpoint written to " << checkpoint_path;
+      if (kind_ != "stream") {
+        std::cout << " (resume with --resume=" << checkpoint_path << ")";
+      }
+      std::cout << "\n";
+    }
+    return WriteReport(std::move(report), dest, stop, queries) != 0 ? 1 : 3;
+  }
+
+  /// The epilogue of a completed run: the trace, the --metrics export
+  /// and, when \p report is given, its envelope at the --report path.
+  int Finish(hgm::obs::RunReport* report, uint64_t queries) {
+    using namespace hgm;
+    int rc = 0;
+    if (!trace_path_.empty()) {
+      obs::Tracer::Global().Stop();
+      std::ofstream out(trace_path_);
+      if (out) {
+        obs::Tracer::Global().WriteJson(out);
+        std::cout << "\nwrote " << obs::Tracer::Global().num_events()
+                  << " trace events to " << trace_path_ << "\n";
+      } else {
+        std::cerr << "error: cannot write trace to " << trace_path_ << "\n";
+        rc = 1;
+      }
+    }
+    if (!metrics_dest_.empty()) rc = std::max(rc, ExportMetrics(metrics_dest_));
+    if (report != nullptr) {
+      rc = std::max(rc, WriteReport(std::move(*report), report_path,
+                                    StopReason::kCompleted, queries));
+    }
+    return rc;
+  }
+
+  std::string path;  // basket file, or "-" for follow's stdin
+  uint64_t min_support = 0;
+  uint64_t deadline_ms = 0;
+  uint64_t max_queries = 0;
+  std::string checkpoint_path;  // where a budget trip saves its state
+  std::string report_path;      // envelope destination; "-" = stdout
+  std::string checkpoint_kind;  // "apriori", "partition" or "stream"
+  std::string resumed_from;     // mine --resume
+
+ private:
+  std::string kind_;
+  std::string name_;
+  std::vector<std::string> args_;
+  std::string metrics_dest_;  // empty = not requested; "-" = stdout
+  std::string trace_path_;
+  std::string flight_path_;   // crash-forensics dump destination
+  std::string checkpoint_written_;  // set by FinishPartial on save
+};
 
 /// Per-boundary report destination: "-" streams envelopes to stdout; a
 /// path (with or without a trailing .json) becomes <base>.w<k>.json.
 std::string BoundaryReportPath(const std::string& base, size_t boundary) {
+  if (base == "-") return base;
   std::string stem = base;
   const std::string ext = ".json";
   if (stem.size() > ext.size() &&
@@ -233,68 +450,15 @@ std::string BoundaryReportPath(const std::string& base, size_t boundary) {
 /// append-only basket stream (see the file comment for semantics).
 int RunFollow(const std::vector<std::string>& args) {
   using namespace hgm;
-  if (args.size() < 3) return Usage();
-  const std::string path = args[1];
-  uint64_t v = 0;
-  if (!ParseFlagUint("min-support", args[2],
-                     std::numeric_limits<uint32_t>::max(), &v)) {
-    return 2;
-  }
-  const size_t min_support = static_cast<size_t>(v);
+  CliRun cli("stream", "hgmine_cli follow", args);
+  cli.checkpoint_kind = "stream";
   uint64_t window_rows = 0, slide_rows = 0, num_items = 0;
-  uint64_t deadline_ms = 0, max_queries = 0;
   bool cross_check = false;
-  std::string metrics_dest, trace_path, report_path, flight_path;
-  std::string checkpoint_path;
-  for (size_t i = 3; i < args.size(); ++i) {
-    if (args[i].rfind("--window=", 0) == 0) {
-      if (!ParseFlagUint("--window", args[i].substr(9), 1u << 30,
-                         &window_rows)) {
-        return 2;
-      }
-    } else if (args[i].rfind("--slide=", 0) == 0) {
-      if (!ParseFlagUint("--slide", args[i].substr(8), 1u << 30,
-                         &slide_rows)) {
-        return 2;
-      }
-    } else if (args[i].rfind("--items=", 0) == 0) {
-      if (!ParseFlagUint("--items", args[i].substr(8), 1u << 20,
-                         &num_items)) {
-        return 2;
-      }
-    } else if (args[i] == "--cross-check") {
-      cross_check = true;
-    } else if (args[i].rfind("--deadline-ms=", 0) == 0) {
-      if (!ParseFlagUint("--deadline-ms", args[i].substr(14),
-                         std::numeric_limits<uint32_t>::max(),
-                         &deadline_ms)) {
-        return 2;
-      }
-    } else if (args[i].rfind("--max-queries=", 0) == 0) {
-      if (!ParseFlagUint("--max-queries", args[i].substr(14),
-                         std::numeric_limits<uint64_t>::max() - 1,
-                         &max_queries)) {
-        return 2;
-      }
-    } else if (args[i].rfind("--checkpoint=", 0) == 0) {
-      checkpoint_path = args[i].substr(13);
-      if (checkpoint_path.empty()) return Usage();
-    } else if (args[i].rfind("--metrics=", 0) == 0) {
-      metrics_dest = args[i].substr(10);
-      if (metrics_dest.empty()) return Usage();
-    } else if (args[i].rfind("--trace=", 0) == 0) {
-      trace_path = args[i].substr(8);
-      if (trace_path.empty()) return Usage();
-    } else if (args[i].rfind("--report=", 0) == 0) {
-      report_path = args[i].substr(9);
-      if (report_path.empty()) return Usage();
-    } else if (args[i].rfind("--flight=", 0) == 0) {
-      flight_path = args[i].substr(9);
-      if (flight_path.empty()) return Usage();
-    } else {
-      std::cerr << "error: unknown argument '" << args[i] << "'\n";
-      return Usage();
-    }
+  if (int rc = cli.Parse({UintFlag("--window", 1u << 30, &window_rows),
+                          UintFlag("--slide", 1u << 30, &slide_rows),
+                          UintFlag("--items", 1u << 20, &num_items),
+                          SwitchFlag("--cross-check", &cross_check)})) {
+    return rc;
   }
   if (window_rows == 0) {
     std::cerr << "error: follow requires --window=N (rows per window)\n";
@@ -306,23 +470,15 @@ int RunFollow(const std::vector<std::string>& args) {
                  "buckets)\n";
     return 2;
   }
-
-  const bool want_report = !report_path.empty();
-  if (!metrics_dest.empty() || want_report) obs::EnableMetrics(true);
-  if (!trace_path.empty() || want_report) obs::Tracer::Global().Start();
-  if (!flight_path.empty()) {
-    obs::FlightRecorder::Global().SetDumpPath(flight_path.c_str());
-    obs::FlightRecorder::Global().EnableDumpOnTrip(true);
-    obs::InstallCrashHandlers();
-  }
+  cli.ArmTelemetry();
 
   // The append-only stream, replayed in arrival order.  '-' reads stdin
   // to EOF; a declared --items universe lets rows mention items the
   // early stream prefix has not shown yet.
   Result<TransactionDatabase> loaded = [&]() {
-    if (path != "-") {
+    if (cli.path != "-") {
       return TransactionDatabase::LoadBasketFile(
-          path, static_cast<size_t>(num_items));
+          cli.path, static_cast<size_t>(num_items));
     }
     std::ostringstream text;
     text << std::cin.rdbuf();
@@ -335,33 +491,24 @@ int RunFollow(const std::vector<std::string>& args) {
   }
   TransactionDatabase feed = std::move(loaded.value());
   std::cout << "following " << feed.num_transactions() << " rows over "
-            << feed.num_items() << " items from " << path << " (window "
+            << feed.num_items() << " items from " << cli.path << " (window "
             << window_rows << ", slide " << slide_rows << ")\n";
 
   StreamOptions sopts;
   sopts.slide_rows = static_cast<size_t>(slide_rows);
   sopts.cross_check_borders = cross_check;
-  sopts.budget.max_duration = std::chrono::milliseconds(deadline_ms);
-  sopts.budget.max_queries = max_queries;
-  sopts.budget.cancel = g_interrupt.token();
-  StreamMiner miner(feed.num_items(), min_support,
+  sopts.budget = cli.Budget();
+  StreamMiner miner(feed.num_items(), cli.min_support,
                     static_cast<size_t>(window_rows), sopts);
 
   // One envelope per boundary: fingerprint of the window's rows, the
-  // boundary's border/accounting stats, the stream bound report, and the
-  // cumulative telemetry/flight ring at that point.
-  auto write_boundary_report = [&](const StreamWindowResult& r,
-                                   double wall_ms,
-                                   const std::string& cp_written) -> int {
-    if (!want_report) return 0;
+  // boundary's border/accounting stats, and the cumulative telemetry and
+  // flight ring at that point.
+  auto boundary_report = [&](const StreamWindowResult& r, double wall_ms) {
     obs::RunReport report;
-    report.kind = "stream";
-    report.name = "hgmine_cli follow";
-    report.host = obs::CollectHostInfo();
-    report.build = obs::CollectBuildInfo();
-    report.args = args;
+    if (cli.report_path.empty()) return report;
     report.wall_ms = wall_ms;
-    report.AddConfig("min_support", static_cast<uint64_t>(min_support));
+    report.AddConfig("min_support", cli.min_support);
     report.AddConfig("window_rows", window_rows);
     report.AddConfig("slide_rows", slide_rows);
     report.AddConfig("window_index", static_cast<uint64_t>(r.window_index));
@@ -373,67 +520,19 @@ int RunFollow(const std::vector<std::string>& args) {
     report.AddConfig("reused", r.reused);
     report.AddConfig("promoted", static_cast<uint64_t>(r.promoted));
     report.AddConfig("demoted", static_cast<uint64_t>(r.demoted));
-    obs::DatasetInfo ds;
-    ds.path = path;
-    ds.rows = r.rows_in_window;
-    ds.items = feed.num_items();
-    obs::Fnv1a64 hash;
-    hash.UpdateU64(feed.num_items());
-    TransactionDatabase window = miner.WindowSnapshot();
-    for (const Bitset& row : window.rows()) {
-      for (uint64_t w : row.words()) hash.UpdateU64(w);
-    }
-    ds.fingerprint = hash.HexDigest();
-    report.dataset = ds;
-    obs::BudgetOutcome outcome;
-    outcome.stop_reason = StopReasonName(r.stop_reason);
-    outcome.queries = r.evaluations;
-    outcome.deadline_ms = deadline_ms;
-    outcome.max_queries = max_queries;
-    report.budget = outcome;
-    if (!cp_written.empty()) {
-      obs::CheckpointLineage lineage;
-      lineage.written_to = cp_written;
-      lineage.kind = "stream";
-      report.checkpoint = lineage;
-    }
-    obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
-    if (r.stop_reason == StopReason::kCompleted) {
-      // The stream.last_* gauges belong to this completed boundary; a
-      // tripped boundary never set them.
-      report.bounds.emplace_back("stream",
-                                 obs::StreamBoundReportFromRegistry(snap));
-    }
-    report.metrics = std::move(snap);
-    report.phases = obs::Tracer::Global().PhaseTotals();
-    report.memory = obs::ReadMemory();
-    if (obs::AllocationCountingAvailable()) {
-      report.alloc = obs::GlobalAllocStats();
-    }
-    report.flight = obs::FlightRecorder::Global().Snapshot();
-    if (report_path == "-") {
-      report.WriteJson(std::cout);
-      return 0;
-    }
-    const std::string dest = BoundaryReportPath(report_path, r.window_index);
-    std::ofstream out(dest);
-    if (!out) {
-      std::cerr << "error: cannot write run report to " << dest << "\n";
-      return 1;
-    }
-    report.WriteJson(out);
-    return 0;
+    report.dataset = DescribeDataset(cli.path, miner.WindowSnapshot());
+    return report;
   };
 
   int rc = 0;
   size_t boundaries = 0;
   for (const Bitset& row : feed.rows()) {
     if (!miner.Push(row)) continue;
-    const auto t0 = std::chrono::steady_clock::now();
+    StopWatch watch;
     StreamWindowResult r = miner.AdvanceWindow();
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
+    const double wall_ms = watch.Millis();
+    const std::string dest =
+        BoundaryReportPath(cli.report_path, r.window_index);
     if (r.stop_reason != StopReason::kCompleted) {
       std::cout << "window " << r.window_index << ": stopped early ("
                 << StopReasonName(r.stop_reason)
@@ -441,23 +540,8 @@ int RunFollow(const std::vector<std::string>& args) {
                 << (r.frequent.empty() ? 0
                                        : r.frequent.back().items.Count())
                 << " are the certified prefix\n";
-      std::string cp_written;
-      if (!checkpoint_path.empty()) {
-        if (!r.checkpoint) {
-          std::cerr << "error: budget tripped but no checkpoint was "
-                       "produced\n";
-          return 1;
-        }
-        Status s = SaveCheckpointFile(*r.checkpoint, checkpoint_path);
-        if (!s.ok()) {
-          std::cerr << "error: " << s.ToString() << "\n";
-          return 1;
-        }
-        cp_written = checkpoint_path;
-        std::cout << "checkpoint written to " << checkpoint_path << "\n";
-      }
-      if (write_boundary_report(r, wall_ms, cp_written) != 0) return 1;
-      return 3;
+      return cli.FinishPartial(boundary_report(r, wall_ms), dest,
+                               r.stop_reason, r.evaluations, r.checkpoint);
     }
     std::cout << "window " << r.window_index << ": rows="
               << r.rows_in_window << " frequent=" << r.frequent.size()
@@ -465,7 +549,10 @@ int RunFollow(const std::vector<std::string>& args) {
               << " bd-=" << r.negative_border.size() << " fresh="
               << r.evaluations << " reused=" << r.reused << " (+"
               << r.promoted << "/-" << r.demoted << ")\n";
-    if (write_boundary_report(r, wall_ms, "") != 0) rc = 1;
+    if (cli.WriteReport(boundary_report(r, wall_ms), dest,
+                        StopReason::kCompleted, r.evaluations) != 0) {
+      rc = 1;
+    }
     ++boundaries;
   }
   if (boundaries == 0) {
@@ -487,147 +574,60 @@ int RunFollow(const std::vector<std::string>& args) {
     }
     std::cout << "\n";
   }
-  if (!trace_path.empty()) {
-    obs::Tracer::Global().Stop();
-    std::ofstream out(trace_path);
-    if (out) {
-      obs::Tracer::Global().WriteJson(out);
-    } else {
-      std::cerr << "error: cannot write trace to " << trace_path << "\n";
-      rc = 1;
-    }
-  }
-  if (!metrics_dest.empty()) {
-    int metrics_rc = ExportMetrics(metrics_dest);
-    if (metrics_rc != 0) rc = metrics_rc;
-  }
-  return rc;
+  return std::max(rc, cli.Finish(nullptr, 0));
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The `mine` subcommand: one batch run (Apriori, or partition with
+/// --shards), then the optional maximal, closed and rule passes.
+int RunMine(const std::vector<std::string>& args) {
   using namespace hgm;
-  InstallInterruptHandlers();
-  std::vector<std::string> args(argv + 1, argv + argc);
-  if (args.empty()) return Usage();
-
-  std::string path;
-  size_t min_support = 2;
-  if (args[0] == "demo") {
-    path = "/tmp/hgmine_demo.basket";
-    std::ofstream out(path);
-    out << "# Figure 1 of Gunopulos/Khardon/Mannila/Toivonen, PODS'97\n"
-        << "0 1 2\n0 1 2\n1 3\n1 3\n0 3\n";
-    args = {"mine", path, "2", "--rules", "0.6", "--maximal", "--closed"};
-  }
-  if (args[0] == "follow" || args[0] == "--follow") return RunFollow(args);
-  if (args.size() < 3 || args[0] != "mine") return Usage();
-  path = args[1];
-  {
-    uint64_t v = 0;
-    if (!ParseFlagUint("min-support", args[2],
-                       std::numeric_limits<uint32_t>::max(), &v)) {
-      return 2;
-    }
-    min_support = static_cast<size_t>(v);
-  }
+  CliRun cli("cli", "hgmine_cli", args);
   bool want_maximal = false, want_closed = false, want_rules = false;
+  bool exact_border = false;
   double min_conf = 0.5;
-  size_t num_shards = 0;  // 0 = single-database Apriori path
-  std::string metrics_dest;  // empty = not requested; "-" = stdout
-  std::string trace_path;
-  uint64_t deadline_ms = 0;
-  uint64_t max_queries = 0;
-  std::string checkpoint_path;  // where to save on a budget trip
-  std::string resume_path;      // checkpoint to continue from
-  bool have_chaos = false;
-  uint64_t chaos_seed = 0;
-  bool exact_border = false;  // partition Bd- via Theorem-7 transversals
-  std::string report_path;    // run-report envelope destination; "-" = stdout
-  std::string flight_path;    // crash-forensics dump destination
+  uint64_t num_shards = 0;  // 0 = single-database Apriori path
+  constexpr uint64_t kNoChaos = std::numeric_limits<uint64_t>::max();
+  uint64_t chaos_seed = kNoChaos;  // above every seed --chaos-seed takes
   MaxMinerAlgorithm algo = MaxMinerAlgorithm::kDualizeAdvance;
-  for (size_t i = 3; i < args.size(); ++i) {
-    if (args[i] == "--maximal") {
-      want_maximal = true;
-    } else if (args[i] == "--closed") {
-      want_closed = true;
-    } else if (args[i].rfind("--shards=", 0) == 0) {
-      uint64_t v = 0;
-      if (!ParseFlagUint("--shards", args[i].substr(9), 1u << 20, &v)) {
-        return 2;
-      }
-      num_shards = static_cast<size_t>(v);
-      if (num_shards == 0) {
-        std::cerr << "error: --shards must be >= 1\n";
-        return 2;
-      }
-    } else if (args[i].rfind("--deadline-ms=", 0) == 0) {
-      if (!ParseFlagUint("--deadline-ms", args[i].substr(14),
-                         std::numeric_limits<uint32_t>::max(),
-                         &deadline_ms)) {
-        return 2;
-      }
-    } else if (args[i].rfind("--max-queries=", 0) == 0) {
-      if (!ParseFlagUint("--max-queries", args[i].substr(14),
-                         std::numeric_limits<uint64_t>::max() - 1,
-                         &max_queries)) {
-        return 2;
-      }
-    } else if (args[i].rfind("--checkpoint=", 0) == 0) {
-      checkpoint_path = args[i].substr(13);
-      if (checkpoint_path.empty()) return Usage();
-    } else if (args[i].rfind("--resume=", 0) == 0) {
-      resume_path = args[i].substr(9);
-      if (resume_path.empty()) return Usage();
-    } else if (args[i] == "--exact-border") {
-      exact_border = true;
-    } else if (args[i].rfind("--chaos-seed=", 0) == 0) {
-      if (!ParseFlagUint("--chaos-seed", args[i].substr(13),
-                         std::numeric_limits<uint64_t>::max() - 1,
-                         &chaos_seed)) {
-        return 2;
-      }
-      have_chaos = true;
-    } else if (args[i].rfind("--metrics=", 0) == 0) {
-      metrics_dest = args[i].substr(10);
-      if (metrics_dest.empty()) return Usage();
-    } else if (args[i].rfind("--trace=", 0) == 0) {
-      trace_path = args[i].substr(8);
-      if (trace_path.empty()) return Usage();
-    } else if (args[i].rfind("--report=", 0) == 0) {
-      report_path = args[i].substr(9);
-      if (report_path.empty()) return Usage();
-    } else if (args[i].rfind("--flight=", 0) == 0) {
-      flight_path = args[i].substr(9);
-      if (flight_path.empty()) return Usage();
-    } else if (args[i] == "--rules" && i + 1 < args.size()) {
-      want_rules = true;
-      char* end = nullptr;
-      min_conf = std::strtod(args[++i].c_str(), &end);
-      if (end == args[i].c_str() || *end != '\0' || min_conf < 0 ||
-          min_conf > 1) {
-        std::cerr << "error: --rules confidence must be a number in [0,1]"
-                  << ", got '" << args[i] << "'\n";
-        return 2;
-      }
-    } else if (args[i] == "--algo" && i + 1 < args.size()) {
-      const std::string& a = args[++i];
-      if (a == "levelwise") {
-        algo = MaxMinerAlgorithm::kLevelwise;
-      } else if (a == "dualize") {
-        algo = MaxMinerAlgorithm::kDualizeAdvance;
-      } else if (a == "dfs") {
-        algo = MaxMinerAlgorithm::kDepthFirst;
-      } else {
-        std::cerr << "error: unknown --algo '" << a << "'\n";
-        return 2;
-      }
-    } else {
-      std::cerr << "error: unknown argument '" << args[i] << "'\n";
-      return Usage();
-    }
-  }
+  int parse_rc = cli.Parse({
+      SwitchFlag("--maximal", &want_maximal),
+      SwitchFlag("--closed", &want_closed),
+      UintFlag("--shards", 1u << 20, &num_shards, /*min_value=*/1),
+      PathFlag("--resume", &cli.resumed_from),
+      SwitchFlag("--exact-border", &exact_border),
+      UintFlag("--chaos-seed", kMaxCount, &chaos_seed),
+      {"--rules", Flag::Form::kNextWord,
+       [&](const std::string& value) {
+         want_rules = true;
+         char* end = nullptr;
+         min_conf = std::strtod(value.c_str(), &end);
+         // NaN fails every comparison, so test finiteness explicitly.
+         if (end == value.c_str() || *end != '\0' ||
+             !std::isfinite(min_conf) || min_conf < 0 || min_conf > 1) {
+           std::cerr << "error: --rules confidence must be a number in "
+                        "[0,1], got '"
+                     << value << "'\n";
+           return false;
+         }
+         return true;
+       }},
+      {"--algo", Flag::Form::kNextWord,
+       [&](const std::string& value) {
+         if (value == "levelwise") {
+           algo = MaxMinerAlgorithm::kLevelwise;
+         } else if (value == "dualize") {
+           algo = MaxMinerAlgorithm::kDualizeAdvance;
+         } else if (value == "dfs") {
+           algo = MaxMinerAlgorithm::kDepthFirst;
+         } else {
+           std::cerr << "error: unknown --algo '" << value << "'\n";
+           return false;
+         }
+         return true;
+       }},
+  });
+  if (parse_rc != 0) return parse_rc;
+  const bool have_chaos = chaos_seed != kNoChaos;
   if (have_chaos && num_shards == 0) {
     std::cerr << "error: --chaos-seed requires --shards=K (faults are "
                  "injected into phase-1 shard mining)\n";
@@ -638,163 +638,59 @@ int main(int argc, char** argv) {
                  "single-database path always uses Theorem 7)\n";
     return 2;
   }
+  cli.checkpoint_kind = num_shards > 0 ? "partition" : "apriori";
+  cli.ArmTelemetry();
+  StopWatch run_watch;
 
-  // A run report needs the metrics snapshot and the tracer's phase
-  // totals, so --report implies both collectors.
-  const bool want_report = !report_path.empty();
-  if (!metrics_dest.empty() || want_report) obs::EnableMetrics(true);
-  if (!trace_path.empty() || want_report) obs::Tracer::Global().Start();
-  if (!flight_path.empty()) {
-    obs::FlightRecorder::Global().SetDumpPath(flight_path.c_str());
-    obs::FlightRecorder::Global().EnableDumpOnTrip(true);
-    obs::InstallCrashHandlers();
-  }
-  const auto run_start = std::chrono::steady_clock::now();
-
-  auto loaded = TransactionDatabase::LoadBasketFile(path);
+  auto loaded = TransactionDatabase::LoadBasketFile(cli.path);
   if (!loaded.ok()) {
     std::cerr << "error: " << loaded.status().ToString() << "\n";
     return 1;
   }
   TransactionDatabase db = std::move(loaded.value());
   std::cout << "loaded " << db.num_transactions() << " transactions over "
-            << db.num_items() << " items from " << path << "\n";
+            << db.num_items() << " items from " << cli.path << "\n";
 
   obs::RunReport report;
-  if (want_report) {
-    report.kind = "cli";
-    report.name = "hgmine_cli";
-    report.host = obs::CollectHostInfo();
-    report.build = obs::CollectBuildInfo();
-    report.args = args;
-    report.AddConfig("min_support", static_cast<uint64_t>(min_support));
-    report.AddConfig("shards", static_cast<uint64_t>(num_shards));
+  if (!cli.report_path.empty()) {
+    report.AddConfig("min_support", cli.min_support);
+    report.AddConfig("shards", num_shards);
     report.AddConfig("maximal", want_maximal);
     report.AddConfig("closed", want_closed);
     report.AddConfig("rules", want_rules);
     report.AddConfig("exact_border", exact_border);
-    report.AddConfig("deadline_ms", deadline_ms);
-    report.AddConfig("max_queries", max_queries);
-    // Fingerprint the transaction contents so two envelopes are known to
-    // have mined the same data before anyone diffs their timings.
-    obs::DatasetInfo ds;
-    ds.path = path;
-    ds.rows = db.num_transactions();
-    ds.items = db.num_items();
-    obs::Fnv1a64 hash;
-    hash.UpdateU64(db.num_items());
-    for (const Bitset& row : db.rows()) {
-      for (uint64_t w : row.words()) hash.UpdateU64(w);
-    }
-    ds.fingerprint = hash.HexDigest();
-    report.dataset = ds;
+    report.AddConfig("deadline_ms", cli.deadline_ms);
+    report.AddConfig("max_queries", cli.max_queries);
+    report.dataset = DescribeDataset(cli.path, db);
   }
 
-  RunBudget budget;
-  budget.max_duration = std::chrono::milliseconds(deadline_ms);
-  budget.max_queries = max_queries;
-  budget.cancel = g_interrupt.token();
-
   std::optional<Checkpoint> resume_from;
-  if (!resume_path.empty()) {
-    auto cp = LoadCheckpointFile(resume_path);
+  if (!cli.resumed_from.empty()) {
+    auto cp = LoadCheckpointFile(cli.resumed_from);
     if (!cp.ok()) {
       std::cerr << "error: " << cp.status().ToString() << "\n";
       return 1;
     }
     resume_from = std::move(cp.value());
-    const char* want = num_shards > 0 ? "partition" : "apriori";
-    if (resume_from->kind != want) {
+    if (resume_from->kind != cli.checkpoint_kind) {
       std::cerr << "error: checkpoint kind '" << resume_from->kind
-                << "' does not match this invocation (expected '" << want
+                << "' does not match this invocation (expected '"
+                << cli.checkpoint_kind
                 << "'; match the original run's --shards)\n";
       return 2;
     }
   }
 
-  // Fills the run-dependent envelope sections and writes the report.
-  // Called from both exits — the completed path and the budget-tripped
-  // partial path — so a tripped run still leaves its full artifact.
-  std::string checkpoint_written;  // set by finish_partial on save
-  auto write_report = [&](const char* stop_reason,
-                          uint64_t queries) -> int {
-    if (!want_report) return 0;
-    const auto elapsed = std::chrono::steady_clock::now() - run_start;
-    report.wall_ms =
-        std::chrono::duration<double, std::milli>(elapsed).count();
-    obs::BudgetOutcome outcome;
-    outcome.stop_reason = stop_reason;
-    outcome.queries = queries;
-    outcome.deadline_ms = deadline_ms;
-    outcome.max_queries = max_queries;
-    report.budget = outcome;
-    if (!resume_path.empty() || !checkpoint_written.empty()) {
-      obs::CheckpointLineage lineage;
-      lineage.resumed_from = resume_path;
-      lineage.written_to = checkpoint_written;
-      lineage.kind = num_shards > 0 ? "partition" : "apriori";
-      report.checkpoint = lineage;
-    }
-    obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
-    if (snap.GaugeValue("levelwise.last_width") != 0) {
-      report.bounds.emplace_back(
-          "levelwise", obs::LevelwiseBoundReportFromRegistry(snap));
-    }
-    if (snap.GaugeValue("da.last_width") != 0) {
-      report.bounds.emplace_back(
-          "dualize_advance", obs::DualizeAdvanceBoundReportFromRegistry(snap));
-    }
-    if (snap.GaugeValue("partition.last_shards") != 0) {
-      report.bounds.emplace_back(
-          "partition", obs::PartitionBoundReportFromRegistry(snap));
-    }
-    report.metrics = std::move(snap);
-    report.phases = obs::Tracer::Global().PhaseTotals();
-    report.memory = obs::ReadMemory();
-    if (obs::AllocationCountingAvailable()) {
-      report.alloc = obs::GlobalAllocStats();
-    }
-    report.flight = obs::FlightRecorder::Global().Snapshot();
-    if (report_path == "-") {
-      report.WriteJson(std::cout);
-      return 0;
-    }
-    std::ofstream out(report_path);
-    if (!out) {
-      std::cerr << "error: cannot write run report to " << report_path
-                << "\n";
-      return 1;
-    }
-    report.WriteJson(out);
-    std::cout << "wrote run report to " << report_path
-              << " (hgm.run_report schema v"
-              << obs::RunReport::kSchemaVersion << ")\n";
-    return 0;
-  };
-
-  // Shared partial-run epilogue: report the stop, persist the checkpoint
-  // when asked, and exit 3 so scripts can tell "partial" from "failed".
+  // Shared by both backends' trip exits: the stop line, then the
+  // pipeline's partial exit.
   auto finish_partial = [&](StopReason reason,
                             const std::optional<Checkpoint>& cp,
-                            uint64_t queries) -> int {
+                            uint64_t queries) {
     std::cout << "stopped early (" << StopReasonName(reason)
               << "); result above is the certified prefix\n";
-    if (!checkpoint_path.empty()) {
-      if (!cp) {
-        std::cerr << "error: budget tripped but no checkpoint was produced\n";
-        return 1;
-      }
-      Status s = SaveCheckpointFile(*cp, checkpoint_path);
-      if (!s.ok()) {
-        std::cerr << "error: " << s.ToString() << "\n";
-        return 1;
-      }
-      checkpoint_written = checkpoint_path;
-      std::cout << "checkpoint written to " << checkpoint_path
-                << " (resume with --resume=" << checkpoint_path << ")\n";
-    }
-    if (write_report(StopReasonName(reason), queries) != 0) return 1;
-    return 3;
+    report.wall_ms = run_watch.Millis();
+    return cli.FinishPartial(std::move(report), cli.report_path, reason,
+                             queries, cp);
   };
 
   AprioriResult mined;
@@ -802,7 +698,7 @@ int main(int argc, char** argv) {
     ShardedTransactionDatabase sharded =
         ShardedTransactionDatabase::Split(db, num_shards);
     PartitionOptions popts;
-    popts.budget = budget;
+    popts.budget = cli.Budget();
     popts.border_via_transversals = exact_border;
     if (have_chaos) {
       // Seeded transient faults in phase 1; the retry rounds must heal
@@ -822,13 +718,13 @@ int main(int argc, char** argv) {
       }
       part = std::move(resumed.value());
     } else {
-      part = MinePartitioned(&sharded, min_support, popts);
+      part = MinePartitioned(&sharded, cli.min_support, popts);
     }
     if (!part.status.ok()) {
       std::cerr << "warning: " << part.status.ToString() << "\n";
     }
     std::cout << part.frequent.size()
-              << " frequent itemsets at support >= " << min_support
+              << " frequent itemsets at support >= " << cli.min_support
               << " via " << part.num_shards << " shards ("
               << part.phase2_evaluations << " phase-2 full-pass sets, "
               << part.phase2_reused << " reused from phase-1 counts, "
@@ -853,7 +749,7 @@ int main(int argc, char** argv) {
     mined = AsAprioriResult(part);
   } else {
     AprioriOptions aopts;
-    aopts.budget = budget;
+    aopts.budget = cli.Budget();
     if (resume_from) {
       auto resumed = ResumeFrequentSets(&db, *resume_from, aopts);
       if (!resumed.ok()) {
@@ -862,11 +758,11 @@ int main(int argc, char** argv) {
       }
       mined = std::move(resumed.value());
     } else {
-      mined = MineFrequentSets(&db, min_support, aopts);
+      mined = MineFrequentSets(&db, cli.min_support, aopts);
     }
     std::cout << mined.frequent.size()
-              << " frequent itemsets at support >= " << min_support << " ("
-              << mined.support_counts << " support counts)\n";
+              << " frequent itemsets at support >= " << cli.min_support
+              << " (" << mined.support_counts << " support counts)\n";
     if (mined.stop_reason != StopReason::kCompleted) {
       return finish_partial(mined.stop_reason, mined.checkpoint,
                             mined.support_counts.load());
@@ -880,9 +776,12 @@ int main(int argc, char** argv) {
     levels.Print();
   }
 
-  auto names = ItemNames(db.num_items());
+  std::vector<std::string> names;
+  for (size_t i = 0; i < db.num_items(); ++i) {
+    names.push_back("i" + std::to_string(i));
+  }
   if (want_maximal) {
-    MaxMinerResult mx = MineMaximalFrequentSets(&db, min_support, algo);
+    MaxMinerResult mx = MineMaximalFrequentSets(&db, cli.min_support, algo);
     std::cout << "\nmaximal itemsets (" << ToString(algo) << ", "
               << mx.queries << " queries):\n";
     for (const auto& m : mx.maximal) {
@@ -890,7 +789,7 @@ int main(int argc, char** argv) {
     }
   }
   if (want_closed) {
-    auto closed = MineClosedFrequentSets(&db, min_support);
+    auto closed = MineClosedFrequentSets(&db, cli.min_support);
     std::cout << "\n" << closed.size() << " closed itemsets (vs "
               << mined.frequent.size() << " frequent)\n";
   }
@@ -913,24 +812,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  int rc = 0;
-  if (!trace_path.empty()) {
-    obs::Tracer::Global().Stop();
-    std::ofstream out(trace_path);
-    if (out) {
-      obs::Tracer::Global().WriteJson(out);
-      std::cout << "\nwrote " << obs::Tracer::Global().num_events()
-                << " trace events to " << trace_path << "\n";
-    } else {
-      std::cerr << "error: cannot write trace to " << trace_path << "\n";
-      rc = 1;
-    }
+  report.wall_ms = run_watch.Millis();
+  return cli.Finish(&report, mined.support_counts.load());
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  InstallInterruptHandlers();
+  std::vector<std::string> args(argv + 1, argv + argc);
+  if (args.empty()) return Usage();
+  if (args[0] == "demo") {
+    const std::string path = "/tmp/hgmine_demo.basket";
+    std::ofstream out(path);
+    out << "# Figure 1 of Gunopulos/Khardon/Mannila/Toivonen, PODS'97\n"
+        << "0 1 2\n0 1 2\n1 3\n1 3\n0 3\n";
+    args = {"mine", path, "2", "--rules", "0.6", "--maximal", "--closed"};
   }
-  if (!metrics_dest.empty()) {
-    int metrics_rc = ExportMetrics(metrics_dest);
-    if (metrics_rc != 0) rc = metrics_rc;
-  }
-  int report_rc = write_report("completed", mined.support_counts.load());
-  if (report_rc != 0) rc = report_rc;
-  return rc;
+  if (args[0] == "follow" || args[0] == "--follow") return RunFollow(args);
+  if (args[0] != "mine") return Usage();
+  return RunMine(args);
 }

@@ -67,9 +67,8 @@ struct AprioriOptions {
   /// Keep the full frequent-set list with supports (needed for rules).
   bool record_all = true;
   /// Track the maximal frequent sets (the level loop's subset marking).
-  /// Callers that only consume `frequent` — partition phase 1 derives its
-  /// global maximal sets from the confirmed theory instead — turn this
-  /// off and get an empty `maximal`.
+  /// A caller that only consumes `frequent` can turn this off and get an
+  /// empty `maximal`; perfbench's level replay is the one that does.
   bool compute_maximal = true;
   /// Stop after itemsets of this size.
   size_t max_level = Bitset::npos;

@@ -16,14 +16,14 @@
 ///
 /// Counting-kernel seam: this oracle wants only a yes/no at a threshold,
 /// so it rides the capped early-exit chain kernel
-/// (SupportVerticalPrebuilt / ChainCountCapped).  Callers that need exact
-/// counts for a whole level — partition phase 2, the benchmarks — use
-/// TransactionDatabase::CountSupportsVertical with a PrefixCoverCache
-/// instead, which memoizes each candidate's (k-1)-prefix tidset so a
-/// size-k count is one cached-cover x item-tidset intersection rather
-/// than a k-way chain.  Same exact numbers from either kernel; the cache
-/// only changes the constant, and it is the seam a future FP-growth-style
-/// backend would slot into.
+/// (SupportVerticalPrebuilt / ChainCountCapped).  Exact whole-level
+/// counts come from Apriori's join-parent cover kernel; perfbench's level
+/// replay uses TransactionDatabase::CountSupportsVertical with a
+/// PrefixCoverCache instead, which memoizes each candidate's (k-1)-prefix
+/// tidset so a size-k count is one cached-cover x item-tidset
+/// intersection rather than a k-way chain.  Same exact numbers from
+/// every kernel; the kernel only changes the constant, and it is the
+/// seam a future FP-growth-style backend would slot into.
 
 #include "common/thread_pool.h"
 #include "core/oracle.h"

@@ -875,15 +875,13 @@ PartitionResult RunPartition(ShardedTransactionDatabase* db,
   // the identical family.
   Borders borders = LatticeBorders(state.lattice);
   result.maximal = std::move(borders.positive);
-  if (options.compute_negative_border) {
-    if (!options.border_via_transversals) {
-      result.negative_border = std::move(borders.negative);
-    } else {
-      BergeTransversals berge;
-      result.negative_border =
-          NegativeBorderViaTransversals(result.maximal, n, &berge);
-      CanonicalSort(&result.negative_border);
-    }
+  if (!options.border_via_transversals) {
+    result.negative_border = std::move(borders.negative);
+  } else {
+    BergeTransversals berge;
+    result.negative_border =
+        NegativeBorderViaTransversals(result.maximal, n, &berge);
+    CanonicalSort(&result.negative_border);
   }
 
   PublishPartitionGauges(result);

@@ -35,16 +35,12 @@ struct PartitionOptions {
   /// shards on it, phase 2 uses it for the batched confirmation pass.
   /// nullptr = global pool.
   ThreadPool* pool = nullptr;
-  /// Compute Bd-(Th) of the global theory so the result matches
-  /// MineFrequentSets field for field.  By default the border is derived
-  /// combinatorially from the confirmed theory (apriori-gen's rejected
-  /// candidates — NegativeBorderViaGeneration), which keeps the heavy
-  /// transversal enumeration off the mining critical path.
-  bool compute_negative_border = true;
-  /// Compute Bd-(Th) through Theorem 7 instead (Berge transversals of the
+  /// Compute Bd-(Th) through Theorem 7 (Berge transversals of the
   /// complemented positive border) — the independent cross-check path,
-  /// exposed on the CLI as --exact-border.  The family produced is
-  /// identical; only the cost differs.
+  /// exposed on the CLI as --exact-border.  By default the border is read
+  /// off the confirmed lattice (apriori-gen's rejected candidates), which
+  /// keeps the heavy transversal enumeration off the mining critical
+  /// path.  The family produced is identical; only the cost differs.
   bool border_via_transversals = false;
   /// Resource envelope, checked at the phase boundary and before each
   /// phase-2 confirmation level; phase-2 support counts are the query
@@ -75,7 +71,7 @@ struct PartitionResult {
   std::vector<FrequentItemset> frequent;
   /// The maximal frequent itemsets.
   std::vector<Bitset> maximal;
-  /// Bd-(Th); empty when options.compute_negative_border is false.
+  /// Bd-(Th), matching MineFrequentSets field for field.
   std::vector<Bitset> negative_border;
 
   size_t num_shards = 0;

@@ -1,9 +1,5 @@
 #include "mining/sharded_db.h"
 
-#include <chrono>
-#include <thread>
-
-#include "common/cancellation.h"
 #include "common/check.h"
 #include "obs/metrics.h"
 
@@ -183,63 +179,20 @@ bool ShardedFrequencyOracle::IsInteresting(const Bitset& x) {
   return db_->SupportAtLeastPrebuilt(x, min_support_, pool_);
 }
 
-Status ShardedFrequencyOracle::TryEvaluateBatch(std::span<const Bitset> batch,
-                                                std::vector<uint8_t>* out,
-                                                size_t attempt) {
-  out->assign(batch.size(), 0);
-  if (batch.empty()) return Status::OK();
-  if (fault_hook_) {
-    // The failure seam sits at the shard boundary: a hook throw stands in
-    // for a shard read failing, before any answer is produced.
-    for (size_t k = 0; k < db_->num_shards(); ++k) {
-      try {
-        fault_hook_(k, attempt);
-      } catch (const CancelledError&) {
-        throw;
-      } catch (const std::exception& e) {
-        HGM_OBS_COUNT("robustness.shard_faults", 1);
-        return Status::Unavailable("shard " + std::to_string(k) +
-                                   " failed: " + e.what());
-      }
-    }
-  }
+std::vector<uint8_t> ShardedFrequencyOracle::EvaluateBatch(
+    std::span<const Bitset> batch) {
+  std::vector<uint8_t> out(batch.size(), 0);
   HGM_OBS_COUNT("sharded.support_queries", batch.size());
   pool_->ParallelFor(batch.size(),
                      [&](size_t begin, size_t end, size_t /*chunk*/) {
                        for (size_t c = begin; c < end; ++c) {
-                         (*out)[c] = db_->SupportAtLeastPrebuilt(batch[c],
-                                                                 min_support_)
-                                         ? 1
-                                         : 0;
+                         out[c] = db_->SupportAtLeastPrebuilt(batch[c],
+                                                              min_support_)
+                                      ? 1
+                                      : 0;
                        }
                      });
-  return Status::OK();
-}
-
-std::vector<uint8_t> ShardedFrequencyOracle::EvaluateBatch(
-    std::span<const Bitset> batch) {
-  std::vector<uint8_t> out;
-  const size_t attempts = retry_.max_attempts < 1 ? 1 : retry_.max_attempts;
-  Status last = Status::OK();
-  for (size_t a = 0; a < attempts; ++a) {
-    if (a > 0) {
-      HGM_OBS_COUNT("robustness.retries", 1);
-      uint64_t delay_us = retry_.DelayUs(a - 1, batch.size());
-      if (sleeper_) {
-        sleeper_(delay_us);
-      } else if (delay_us > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-      }
-    }
-    last = TryEvaluateBatch(batch, &out, a);
-    if (last.ok()) return out;
-  }
-  // The oracle interface has no status channel; a batch that failed every
-  // attempt surfaces as an exception the engines (or the chaos harness)
-  // handle.
-  throw std::runtime_error("sharded oracle batch failed after " +
-                           std::to_string(attempts) +
-                           " attempts: " + last.ToString());
+  return out;
 }
 
 }  // namespace hgm

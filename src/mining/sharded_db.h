@@ -19,13 +19,10 @@
 /// backend built on top that stops assuming a full-data pass is free.
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "common/bitset.h"
-#include "common/run_budget.h"
-#include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/oracle.h"
 #include "mining/transaction_db.h"
@@ -152,47 +149,17 @@ class ShardedFrequencyOracle : public InterestingnessOracle {
 
   bool IsInteresting(const Bitset& x) override;
 
-  /// Parallel across candidates; each candidate accumulates capped
-  /// per-shard counts in shard order into its own slot.  With a retry
-  /// policy configured, a failed attempt (a shard read that threw) is
-  /// retried with seeded backoff; a batch that still fails after
-  /// max_attempts throws std::runtime_error carrying the last Status.
-  /// Answers always come from the underlying shards, so a retried batch
-  /// is bit-identical to an attempt with no failures.
+  /// Parallel across candidates; each candidate's capped per-shard counts
+  /// accumulate in shard order into its own slot.
   std::vector<uint8_t> EvaluateBatch(std::span<const Bitset> batch) override;
-
-  /// One attempt of EvaluateBatch with a Status failure channel instead of
-  /// exceptions: Unavailable when a shard read fails, OK otherwise.
-  /// \p attempt is forwarded to the fault hook (0-based).
-  Status TryEvaluateBatch(std::span<const Bitset> batch,
-                          std::vector<uint8_t>* out, size_t attempt = 0);
 
   size_t num_items() const override { return db_->num_items(); }
   size_t min_support() const { return min_support_; }
-
-  /// Per-batch retry policy (default: no retries beyond the attempt
-  /// itself when no fault hook is installed — clean shards cannot fail).
-  void set_retry(const RetryPolicy& retry) { retry_ = retry; }
-  /// Backoff sleeper (microseconds); tests inject a recorder.  Unset
-  /// means "busy path sleeps via the policy's delay" — with the policy
-  /// default of base_backoff_us = 0 no sleeping happens at all.
-  void set_sleeper(std::function<void(uint64_t)> sleeper) {
-    sleeper_ = std::move(sleeper);
-  }
-  /// Test seam invoked once per (shard, attempt) before each batch
-  /// attempt; throwing simulates that shard failing.  CancelledError
-  /// passes through untouched.
-  void set_fault_hook(std::function<void(size_t, size_t)> hook) {
-    fault_hook_ = std::move(hook);
-  }
 
  private:
   ShardedTransactionDatabase* db_;
   size_t min_support_;
   ThreadPool* pool_;
-  RetryPolicy retry_;
-  std::function<void(uint64_t)> sleeper_;
-  std::function<void(size_t, size_t)> fault_hook_;
 };
 
 }  // namespace hgm

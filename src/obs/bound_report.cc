@@ -189,5 +189,28 @@ BoundReport StreamBoundReportFromRegistry(const MetricsSnapshot& snap) {
   return StreamBoundReport(in);
 }
 
+std::vector<std::pair<std::string, BoundReport>> BoundReportsFromRegistry(
+    const MetricsSnapshot& snap) {
+  struct Family {
+    const char* name;
+    const char* gauge;  // nonzero once the engine has published
+    BoundReport (*build)(const MetricsSnapshot&);
+  };
+  static constexpr Family kFamilies[] = {
+      {"levelwise", "levelwise.last_width", LevelwiseBoundReportFromRegistry},
+      {"dualize_advance", "da.last_width",
+       DualizeAdvanceBoundReportFromRegistry},
+      {"partition", "partition.last_shards", PartitionBoundReportFromRegistry},
+      {"stream", "stream.last_window_rows", StreamBoundReportFromRegistry},
+  };
+  std::vector<std::pair<std::string, BoundReport>> reports;
+  for (const Family& f : kFamilies) {
+    if (snap.GaugeValue(f.gauge) != 0) {
+      reports.emplace_back(f.name, f.build(snap));
+    }
+  }
+  return reports;
+}
+
 }  // namespace obs
 }  // namespace hgm

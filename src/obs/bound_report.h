@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -137,6 +138,15 @@ BoundReport PartitionBoundReportFromRegistry(const MetricsSnapshot& snap);
 /// Builds the streaming report from the `stream.last_*` gauges
 /// StreamMiner sets at each completed window boundary.
 BoundReport StreamBoundReportFromRegistry(const MetricsSnapshot& snap);
+
+/// Every bound report whose gauges \p snap holds, named and in a fixed
+/// order: "levelwise", "dualize_advance", "partition", "stream".  A
+/// family is present when its width, shard-count or window gauge is
+/// nonzero, i.e. that engine published in this process with metrics on.
+/// The run-report envelopes and hgmine_cli's --metrics export both
+/// select through this one table.
+std::vector<std::pair<std::string, BoundReport>> BoundReportsFromRegistry(
+    const MetricsSnapshot& snap);
 
 }  // namespace obs
 }  // namespace hgm

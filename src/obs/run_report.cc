@@ -1,6 +1,8 @@
 #include "obs/run_report.h"
 
 #include <cstdio>
+#include <fstream>
+#include <iostream>
 #include <sstream>
 #include <thread>
 
@@ -113,6 +115,27 @@ BuildInfo CollectBuildInfo() {
 #endif
   if (b.sanitizer.empty()) b.sanitizer = "none";
   return b;
+}
+
+void CaptureRuntime(RunReport* report) {
+  report->phases = Tracer::Global().PhaseTotals();
+  report->memory = ReadMemory();
+  if (AllocationCountingAvailable()) report->alloc = GlobalAllocStats();
+  if (MetricsOn()) report->metrics = MetricsRegistry::Global().Snapshot();
+  report->flight = FlightRecorder::Global().Snapshot();
+}
+
+Status WriteRunReport(const RunReport& report, const std::string& dest) {
+  if (dest == "-") {
+    report.WriteJson(std::cout);
+    return Status::OK();
+  }
+  std::ofstream out(dest, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    return Status::IOError("cannot write run report to " + dest);
+  }
+  report.WriteJson(out);
+  return Status::OK();
 }
 
 void RunReport::AddConfig(const std::string& key, uint64_t value) {

@@ -21,11 +21,12 @@
 ///     StopReason, checkpoint lineage, memory telemetry, and the flight
 ///     ring.
 ///
-/// Emitters: `hgmine_cli --report=<path|->` and bench/bench_harness.h
-/// (so every BENCH_*.json carries the same envelope, with bench-specific
-/// tables under "payload").  scripts/bench_compare.py diffs two
-/// envelopes; tests/run_report_test.cc round-trips one through
-/// obs/json.h.
+/// Emitters: `hgmine_cli --report=<path|->`, bench/bench_harness.h (so
+/// every BENCH_*.json carries the same envelope, with bench-specific
+/// tables under "payload") and the serve drain report; all three fill
+/// the runtime sections through CaptureRuntime.
+/// scripts/bench_compare.py diffs two envelopes;
+/// tests/run_report_test.cc round-trips one through obs/json.h.
 ///
 /// Schema versioning rules (also in DESIGN.md): the envelope carries
 /// `"schema": "hgm.run_report"` and an integer `"schema_version"`.
@@ -160,6 +161,19 @@ struct RunReport {
 /// time defines).
 HostInfo CollectHostInfo();
 BuildInfo CollectBuildInfo();
+
+/// Fills \p report's runtime sections from the process-wide collectors:
+/// the tracer's phase totals, memory (a raw read, so it works with
+/// metrics off), allocation counts when the counting hook is linked, the
+/// metrics snapshot when metrics are on, and the flight ring.  Every
+/// envelope writer (hgmine_cli, the bench harness, the serve drain
+/// report) calls this once, right before WriteRunReport; the caller
+/// owns wall_ms, config, dataset, budget, checkpoint and bounds.
+void CaptureRuntime(RunReport* report);
+
+/// Writes \p report to \p dest: "-" is stdout, anything else a file,
+/// created or truncated.  The error names the path it could not open.
+Status WriteRunReport(const RunReport& report, const std::string& dest);
 
 /// Structural lint of an emitted envelope: parses \p json and checks the
 /// required keys (schema, schema_version, kind, name, host.nproc,

@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -698,26 +697,9 @@ void Server::WriteFinalReport(uint64_t wall_ms) {
   payload << "\"requests_handled\": " << handled
           << ", \"sessions\": " << session_count;
   report.payload_members = payload.str();
-  report.phases = obs::Tracer::Global().PhaseTotals();
-  if (obs::MetricsOn()) {
-    report.metrics = obs::MetricsRegistry::Global().Snapshot();
-  }
-  report.flight = obs::FlightRecorder::Global().Snapshot();
-
-  if (config_.final_report_path == "-") {
-    report.WriteJson(std::cout);
-    std::cout << "\n";
-    return;
-  }
-  std::ofstream out(config_.final_report_path,
-                    std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::cerr << "hgmine_serve: cannot write final report to "
-              << config_.final_report_path << "\n";
-    return;
-  }
-  report.WriteJson(out);
-  out << "\n";
+  obs::CaptureRuntime(&report);
+  Status s = obs::WriteRunReport(report, config_.final_report_path);
+  if (!s.ok()) std::cerr << "hgmine_serve: " << s.message() << "\n";
 }
 
 }  // namespace serve

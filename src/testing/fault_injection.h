@@ -144,7 +144,7 @@ class RetryingOracle : public InterestingnessOracle {
   std::atomic<uint64_t> retries_{0};
 };
 
-/// A shard_fault_hook / set_fault_hook schedule for the sharded backend:
+/// A PartitionOptions::shard_fault_hook schedule for the sharded backend:
 /// shard k throws FaultError on attempt a when the (seed, shard, attempt)
 /// hash lands under transient_rate, and on *every* attempt when the
 /// (seed, shard) hash lands under permanent_rate — a permanently failed
