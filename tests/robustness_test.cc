@@ -5,7 +5,7 @@
 // bit-identical to a never-interrupted run — at every possible trip
 // point, for every checkpointing engine (levelwise, Dualize-and-Advance,
 // Apriori, the partition miner) — and the checkpoint bytes themselves
-// are pinned for levelwise, Apriori and the stream repair.
+// are pinned for levelwise, Apriori, the stream repair and partition.
 
 #include <gtest/gtest.h>
 
@@ -253,7 +253,7 @@ TEST(RobustnessPartitionTest, ResumeIsBitIdenticalAtEveryTripPoint) {
   TransactionDatabase db = SmallQuestDatabase(17);
   AprioriResult reference = MineFrequentSets(&db, 5);
 
-  for (size_t shards : {size_t{2}, size_t{3}}) {
+  for (size_t shards : {size_t{2}, size_t{3}, size_t{70}}) {
     ShardedTransactionDatabase sharded =
         ShardedTransactionDatabase::Split(db, shards);
     PartitionResult clean = MinePartitioned(&sharded, 5);
@@ -418,6 +418,66 @@ std::string StreamGolden(size_t trip_boundary, uint64_t max_queries) {
     (void)miner.AdvanceWindow();
   }
   return "boundary not reached";
+}
+
+/// Seven rows in two shards for partition at minsup 2 (local thresholds
+/// 1 and 2).  Shard 0 alone makes {0, 3} and {1, 2} locally frequent,
+/// so phase 2 counts and rejects them; {1, 3, 4} is frequent in shard 1
+/// only, so a third level is counted.  Apriori-gen order and canonical
+/// order differ on the level-2 sets, which pins the sections' order.
+TransactionDatabase ShardSkewedRows() {
+  return TransactionDatabase::FromRows(5, {{0, 3},
+                                           {1, 2},
+                                           {0, 4},
+                                           {0, 4},
+                                           {1, 3, 4},
+                                           {1, 3, 4},
+                                           {2, 3}});
+}
+
+/// Trips a K = 2 partition run over ShardSkewedRows (a pre-cancelled
+/// token when \p max_queries is 0), resumes it through the text format
+/// and checks the result against the clean run.
+std::string PartitionGolden(uint64_t max_queries) {
+  TransactionDatabase db = ShardSkewedRows();
+  ShardedTransactionDatabase sharded =
+      ShardedTransactionDatabase::Split(db, 2);
+  PartitionOptions opts;
+  CancellationSource source;
+  if (max_queries == 0) {
+    source.RequestCancel();
+    opts.budget.cancel = source.token();
+  } else {
+    opts.budget.max_queries = max_queries;
+  }
+  PartitionResult part = MinePartitioned(&sharded, 2, opts);
+  EXPECT_EQ(part.stop_reason, max_queries == 0 ? StopReason::kCancelled
+                                               : StopReason::kQueryBudget);
+  if (!part.checkpoint) return "no checkpoint";
+  const std::string text = SerializeCheckpoint(*part.checkpoint);
+
+  auto reparsed = ParseCheckpoint(text);
+  EXPECT_TRUE(reparsed.ok()) << reparsed.status().message();
+  if (!reparsed.ok()) return "unparsable checkpoint";
+  auto resumed = ResumePartition(&sharded, *reparsed);
+  EXPECT_TRUE(resumed.ok()) << resumed.status().message();
+  if (!resumed.ok()) return "resume failed";
+  const PartitionResult clean = MinePartitioned(&sharded, 2);
+  EXPECT_EQ(resumed->stop_reason, StopReason::kCompleted);
+  EXPECT_EQ(resumed->frequent.size(), clean.frequent.size());
+  for (size_t i = 0;
+       i < std::min(resumed->frequent.size(), clean.frequent.size()); ++i) {
+    EXPECT_EQ(resumed->frequent[i].items, clean.frequent[i].items);
+    EXPECT_EQ(resumed->frequent[i].support, clean.frequent[i].support);
+  }
+  EXPECT_EQ(resumed->maximal, clean.maximal);
+  EXPECT_EQ(resumed->negative_border, clean.negative_border);
+  EXPECT_EQ(resumed->candidate_union_size, clean.candidate_union_size);
+  EXPECT_EQ(resumed->phase2_evaluations, clean.phase2_evaluations);
+  EXPECT_EQ(resumed->phase2_reused, clean.phase2_reused);
+  EXPECT_EQ(resumed->phase2_rejected, clean.phase2_rejected);
+  EXPECT_EQ(resumed->phase2_levels, clean.phase2_levels);
+  return text + PartialBdPlus(part.maximal);
 }
 
 TEST(RobustnessGoldenCheckpointTest, Levelwise) {
@@ -684,6 +744,180 @@ TEST(RobustnessGoldenCheckpointTest, Stream) {
             "3 1 0 1 2\n"
             "end\n"
             "bd+ {1, 2} {1, 3} {2, 3}\n");
+}
+
+TEST(RobustnessGoldenCheckpointTest, Partition) {
+  // Phase 2 decides ∅ (reused), 5 singletons (2 counted), 6 pairs (all
+  // counted, {0, 3} and {1, 2} rejected) and {1, 3, 4} (counted): 9
+  // queries.  Trip before phase 1, before level 2 and before level 3.
+  EXPECT_EQ(PartitionGolden(0),
+            "hgmine-checkpoint v1\n"
+            "kind partition\n"
+            "width 5\n"
+            "scalar min_support 2\n"
+            "scalar phase1_done 0\n"
+            "scalar next_level 0\n"
+            "scalar phase2_evaluations 0\n"
+            "scalar phase2_reused 0\n"
+            "scalar phase2_levels 0\n"
+            "scalar phase2_rejected 0\n"
+            "scalar num_shards 2\n"
+            "scalar shard_retries 0\n"
+            "scalar unavailable 0\n"
+            "end\n"
+            "bd+\n");
+  EXPECT_EQ(PartitionGolden(2),
+            "hgmine-checkpoint v1\n"
+            "kind partition\n"
+            "width 5\n"
+            "scalar min_support 2\n"
+            "scalar phase1_done 1\n"
+            "scalar next_level 2\n"
+            "scalar phase2_evaluations 2\n"
+            "scalar phase2_reused 4\n"
+            "scalar phase2_levels 2\n"
+            "scalar phase2_rejected 0\n"
+            "scalar num_shards 2\n"
+            "scalar shard_retries 0\n"
+            "scalar unavailable 0\n"
+            "section local_thresholds 2\n"
+            "0 1\n"
+            "0 2\n"
+            "section local_frequent_per_shard 2\n"
+            "0 9\n"
+            "0 8\n"
+            "section failed_shards 0\n"
+            "section union 13\n"
+            "0 0\n"
+            "1 0 0\n"
+            "1 0 1\n"
+            "1 0 2\n"
+            "1 0 3\n"
+            "1 0 4\n"
+            "2 0 1 2\n"
+            "2 0 0 3\n"
+            "2 0 1 3\n"
+            "2 0 0 4\n"
+            "2 0 1 4\n"
+            "2 0 3 4\n"
+            "3 0 1 3 4\n"
+            "section union_sums 13\n"
+            "0 7\n"
+            "1 2 0\n"
+            "1 3 1\n"
+            "1 1 2\n"
+            "1 4 3\n"
+            "1 4 4\n"
+            "2 1 1 2\n"
+            "2 1 0 3\n"
+            "2 2 1 3\n"
+            "2 1 0 4\n"
+            "2 2 1 4\n"
+            "2 2 3 4\n"
+            "3 2 1 3 4\n"
+            "section union_masks 13\n"
+            "0 3\n"
+            "1 1 0\n"
+            "1 3 1\n"
+            "1 1 2\n"
+            "1 3 3\n"
+            "1 3 4\n"
+            "2 1 1 2\n"
+            "2 1 0 3\n"
+            "2 2 1 3\n"
+            "2 1 0 4\n"
+            "2 2 1 4\n"
+            "2 2 3 4\n"
+            "3 2 1 3 4\n"
+            "section confirmed 6\n"
+            "0 7\n"
+            "1 3 0\n"
+            "1 3 1\n"
+            "1 2 2\n"
+            "1 4 3\n"
+            "1 4 4\n"
+            "section rejected 0\n"
+            "end\n"
+            "bd+ {0} {1} {2} {3} {4}\n");
+  EXPECT_EQ(PartitionGolden(8),
+            "hgmine-checkpoint v1\n"
+            "kind partition\n"
+            "width 5\n"
+            "scalar min_support 2\n"
+            "scalar phase1_done 1\n"
+            "scalar next_level 3\n"
+            "scalar phase2_evaluations 8\n"
+            "scalar phase2_reused 4\n"
+            "scalar phase2_levels 3\n"
+            "scalar phase2_rejected 2\n"
+            "scalar num_shards 2\n"
+            "scalar shard_retries 0\n"
+            "scalar unavailable 0\n"
+            "section local_thresholds 2\n"
+            "0 1\n"
+            "0 2\n"
+            "section local_frequent_per_shard 2\n"
+            "0 9\n"
+            "0 8\n"
+            "section failed_shards 0\n"
+            "section union 13\n"
+            "0 0\n"
+            "1 0 0\n"
+            "1 0 1\n"
+            "1 0 2\n"
+            "1 0 3\n"
+            "1 0 4\n"
+            "2 0 1 2\n"
+            "2 0 0 3\n"
+            "2 0 1 3\n"
+            "2 0 0 4\n"
+            "2 0 1 4\n"
+            "2 0 3 4\n"
+            "3 0 1 3 4\n"
+            "section union_sums 13\n"
+            "0 7\n"
+            "1 2 0\n"
+            "1 3 1\n"
+            "1 1 2\n"
+            "1 4 3\n"
+            "1 4 4\n"
+            "2 1 1 2\n"
+            "2 1 0 3\n"
+            "2 2 1 3\n"
+            "2 1 0 4\n"
+            "2 2 1 4\n"
+            "2 2 3 4\n"
+            "3 2 1 3 4\n"
+            "section union_masks 13\n"
+            "0 3\n"
+            "1 1 0\n"
+            "1 3 1\n"
+            "1 1 2\n"
+            "1 3 3\n"
+            "1 3 4\n"
+            "2 1 1 2\n"
+            "2 1 0 3\n"
+            "2 2 1 3\n"
+            "2 1 0 4\n"
+            "2 2 1 4\n"
+            "2 2 3 4\n"
+            "3 2 1 3 4\n"
+            "section confirmed 10\n"
+            "0 7\n"
+            "1 3 0\n"
+            "1 3 1\n"
+            "1 2 2\n"
+            "1 4 3\n"
+            "1 4 4\n"
+            "2 2 1 3\n"
+            "2 2 0 4\n"
+            "2 2 1 4\n"
+            "2 2 3 4\n"
+            "section rejected 2\n"
+            "2 0 1 2\n"
+            "2 0 0 3\n"
+            "end\n"
+            "bd+ {2} {1, 3} {0, 4} {1, 4} {3, 4}\n");
 }
 
 // Pins the clamp contract documented on RetryPolicy: max_backoff_us is a
