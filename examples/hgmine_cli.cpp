@@ -57,10 +57,7 @@
 //                  bit-identical to one uninterrupted run;
 // --chaos-seed=N   (with --shards) injects seeded transient shard faults
 //                  into phase 1 to exercise the retry/failover path; the
-//                  mined output must be identical to a fault-free run;
-// --exact-border   (with --shards) computes Bd-(Th) through the Theorem 7
-//                  transversal construction instead of the default
-//                  apriori-gen derivation — same family, independent path.
+//                  mined output must be identical to a fault-free run.
 //
 // Exit codes: 0 complete, 1 I/O or internal error, 2 usage error,
 // 3 budget tripped (partial result; checkpoint written if requested).
@@ -128,7 +125,7 @@ int Usage() {
          "           [--rules <min-conf>] [--maximal] [--closed]\n"
          "           [--algo levelwise|dualize|dfs]\n"
          "           [--shards=K] [--resume=<path>] [--chaos-seed=N]\n"
-         "           [--exact-border] [shared flags]\n"
+         "           [shared flags]\n"
          "       hgmine_cli follow <basket-file|-> <min-support> --window=N\n"
          "           [--slide=M] [--items=U] [--cross-check] [shared flags]\n"
          "       hgmine_cli demo\n"
@@ -583,7 +580,6 @@ int RunMine(const std::vector<std::string>& args) {
   using namespace hgm;
   CliRun cli("cli", "hgmine_cli", args);
   bool want_maximal = false, want_closed = false, want_rules = false;
-  bool exact_border = false;
   double min_conf = 0.5;
   uint64_t num_shards = 0;  // 0 = single-database Apriori path
   constexpr uint64_t kNoChaos = std::numeric_limits<uint64_t>::max();
@@ -594,7 +590,6 @@ int RunMine(const std::vector<std::string>& args) {
       SwitchFlag("--closed", &want_closed),
       UintFlag("--shards", 1u << 20, &num_shards, /*min_value=*/1),
       PathFlag("--resume", &cli.resumed_from),
-      SwitchFlag("--exact-border", &exact_border),
       UintFlag("--chaos-seed", kMaxCount, &chaos_seed),
       {"--rules", Flag::Form::kNextWord,
        [&](const std::string& value) {
@@ -633,11 +628,6 @@ int RunMine(const std::vector<std::string>& args) {
                  "injected into phase-1 shard mining)\n";
     return 2;
   }
-  if (exact_border && num_shards == 0) {
-    std::cerr << "error: --exact-border requires --shards=K (the "
-                 "single-database path always uses Theorem 7)\n";
-    return 2;
-  }
   cli.checkpoint_kind = num_shards > 0 ? "partition" : "apriori";
   cli.ArmTelemetry();
   StopWatch run_watch;
@@ -658,7 +648,6 @@ int RunMine(const std::vector<std::string>& args) {
     report.AddConfig("maximal", want_maximal);
     report.AddConfig("closed", want_closed);
     report.AddConfig("rules", want_rules);
-    report.AddConfig("exact_border", exact_border);
     report.AddConfig("deadline_ms", cli.deadline_ms);
     report.AddConfig("max_queries", cli.max_queries);
     report.dataset = DescribeDataset(cli.path, db);
@@ -675,8 +664,12 @@ int RunMine(const std::vector<std::string>& args) {
     if (resume_from->kind != cli.checkpoint_kind) {
       std::cerr << "error: checkpoint kind '" << resume_from->kind
                 << "' does not match this invocation (expected '"
-                << cli.checkpoint_kind
-                << "'; match the original run's --shards)\n";
+                << cli.checkpoint_kind << "'; ";
+      if (resume_from->kind == "apriori" || resume_from->kind == "partition") {
+        std::cerr << "match the original run's --shards)\n";
+      } else {
+        std::cerr << "mine resumes only apriori and partition runs)\n";
+      }
       return 2;
     }
   }
@@ -699,7 +692,6 @@ int RunMine(const std::vector<std::string>& args) {
         ShardedTransactionDatabase::Split(db, num_shards);
     PartitionOptions popts;
     popts.budget = cli.Budget();
-    popts.border_via_transversals = exact_border;
     if (have_chaos) {
       // Seeded transient faults in phase 1; the retry rounds must heal
       // them and reproduce the fault-free output bit for bit.

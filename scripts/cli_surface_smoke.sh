@@ -16,7 +16,10 @@
 #   * usage errors exit 2 (missing --window, a --slide that does not
 #     divide the window, a non-numeric --window, an unknown flag, and a
 #     `mine --rules` confidence that is not a finite number in [0,1]);
-#     I/O errors exit 1 (missing file, a feed shorter than one slide).
+#     I/O errors exit 1 (missing file, a feed shorter than one slide);
+#   * `mine --resume` on the tripped feed's stream checkpoint exits 2 and
+#     says that mine resumes only apriori and partition runs, without the
+#     --shards advice that cannot help.
 #
 # Usage: scripts/cli_surface_smoke.sh [path-to-hgmine_cli]
 set -eu
@@ -135,6 +138,13 @@ expect_rc 1 "$CLI" follow "$TMP/short.basket" 60 --window=1000 --slide=250
 for conf in nan inf -0.1; do
   expect_rc 2 "$CLI" mine "$TMP/shift.basket" 60 --rules "$conf"
 done
+
+# --- 6. a stream checkpoint is not mine's to resume.
+expect_rc 2 "$CLI" mine "$TMP/shift.basket" 60 --resume="$TMP/cp.txt"
+grep -q "mine resumes only apriori and partition runs" "$TMP/last.txt" ||
+  fail "mine --resume on a stream checkpoint did not name the kinds it resumes"
+grep -q -- "--shards" "$TMP/last.txt" &&
+  fail "mine --resume on a stream checkpoint still suggests --shards" || true
 
 echo "cli_surface_smoke: OK ($boundaries boundaries, trip after" \
   "$done_before, stdin matches file, error codes honored)"

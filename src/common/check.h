@@ -53,8 +53,15 @@ inline void SetCheckFailureHook(CheckFailureHook hook) {
 /// of the full check expression, after all streamed context is appended).
 class CheckFailure {
  public:
+  /// The message names \p file by its basename, so it (and a crash
+  /// dump's flight label, the message cut to 47 bytes) reads the same
+  /// from any checkout path.
   CheckFailure(const char* file, int line, const char* condition) {
-    os_ << file << ":" << line << ": HGMINE_CHECK failed: " << condition;
+    const char* base = file;
+    for (const char* c = file; *c != '\0'; ++c) {
+      if (*c == '/' || *c == '\\') base = c + 1;
+    }
+    os_ << base << ":" << line << ": HGMINE_CHECK failed: " << condition;
   }
 
   CheckFailure(const CheckFailure&) = delete;

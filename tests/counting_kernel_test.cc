@@ -1,10 +1,9 @@
 // Differential tests for the support-counting kernels behind partition
 // phase 2: the prefix-cached vertical batch counter must agree bit for
 // bit with the row-scan reference and with the uncached capped tidset
-// chain, on dense and sparse databases at several thread counts; the
-// distributed-cap sharded threshold test must agree with the serial
-// shard walk; and the apriori-gen negative-border derivation must equal
-// the Theorem 7 transversal construction.
+// chain, on dense and sparse databases at several thread counts; and the
+// apriori-gen negative-border derivation must equal the Theorem 7
+// transversal construction.
 
 #include <gtest/gtest.h>
 
@@ -191,35 +190,6 @@ TEST(CountingKernelTest, ColdCacheResumeAfterPruneIsBitIdentical) {
   }
 }
 
-// The distributed-cap parallel threshold test answers exactly like the
-// serial shard walk, across shard counts, thread counts, and thresholds
-// straddling the true support.
-TEST(CountingKernelTest, DistributedCapThresholdMatchesSerial) {
-  TransactionDatabase db = RandomDatabase(51, 400, 20, 0.25);
-  std::vector<Bitset> probes = RandomProbes(52, 20, 80, 4);
-  for (size_t k : {size_t{1}, size_t{3}, size_t{7}}) {
-    ShardedTransactionDatabase sharded =
-        ShardedTransactionDatabase::Split(db, k);
-    sharded.EnsureVerticalIndexes();
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      ThreadPool pool(threads);
-      for (const Bitset& x : probes) {
-        const size_t support = db.Support(x);
-        std::vector<size_t> thresholds = {0, 1, support, support + 1, 400};
-        if (support > 0) thresholds.push_back(support - 1);
-        for (size_t threshold : thresholds) {
-          EXPECT_EQ(sharded.SupportAtLeastPrebuilt(x, threshold, &pool),
-                    sharded.SupportAtLeastPrebuilt(x, threshold))
-              << x.ToString() << " K=" << k << " threads=" << threads
-              << " threshold=" << threshold;
-          EXPECT_EQ(sharded.SupportAtLeastPrebuilt(x, threshold, &pool),
-                    support >= threshold);
-        }
-      }
-    }
-  }
-}
-
 // The combinatorial border derivation (apriori-gen's rejected candidates)
 // produces exactly the Theorem 7 transversal border on random downward-
 // closed theories, including the empty and trivial corners.
@@ -273,18 +243,17 @@ TEST(StalenessDeathTest, StalePrebuiltVerticalReadAborts) {
 }
 
 // Appending rows through the mutable shard accessor desyncs the shard
-// from the Split-time manifest; every counting entry point catches it.
+// from the Split-time manifest; every entry point partition uses
+// catches it.
 TEST(StalenessDeathTest, MutatedShardAborts) {
   TransactionDatabase db = RandomDatabase(93, 60, 10, 0.3);
   ShardedTransactionDatabase sharded =
       ShardedTransactionDatabase::Split(db, 3);
   sharded.EnsureVerticalIndexes();
   sharded.shard(1).AddTransactionIndices({0, 1});
-  Bitset x(10, {0});
-  EXPECT_DEATH((void)sharded.Support(x), "mutated after Split");
-  EXPECT_DEATH((void)sharded.SupportAtLeastPrebuilt(x, 1),
-               "mutated after Split");
+  EXPECT_DEATH(sharded.EnsureVerticalIndexes(), "mutated after Split");
   EXPECT_DEATH((void)sharded.LocalThresholds(5), "mutated after Split");
+  EXPECT_DEATH((void)MinePartitioned(&sharded, 5), "mutated after Split");
 }
 
 // Rebuilding is the supported path after a mutation: re-run
@@ -302,7 +271,8 @@ TEST(CountingKernelTest, RebuildAfterMutationCountsNewRows) {
   EXPECT_EQ(fresh.CountPrefixCached(x), before + 1);
   ShardedTransactionDatabase sharded =
       ShardedTransactionDatabase::Split(db, 2);
-  EXPECT_EQ(sharded.Support(x), before + 1);
+  EXPECT_EQ(sharded.shard(0).Support(x) + sharded.shard(1).Support(x),
+            before + 1);
 }
 
 }  // namespace

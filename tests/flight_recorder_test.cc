@@ -227,7 +227,7 @@ TEST_F(FlightRecorderTest, InjectedCheckFailureDumpsPrecedingEvents) {
   // The final recorded event is the check failure itself (the SIGABRT
   // that follows loses the dump race to the once-latch, by design).  The
   // label is the check message truncated to the slot's 47 bytes, which
-  // on this path keeps the file:line prefix.
+  // starts with the file's basename and line from any checkout path.
   EXPECT_EQ(events.back().StringAt("type"), "check_failure");
   EXPECT_NE(events.back().StringAt("label").find("flight_recorder_test"),
             std::string::npos);

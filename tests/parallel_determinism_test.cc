@@ -270,14 +270,16 @@ TEST(ParallelDeterminismTest, PartitionMinerMatchesAprioriAtAnyShardCount) {
         }
       }
       // The Theorem-7 transversal border is an independent construction
-      // of the same family the default derivation produced above.
+      // of the same family the level loop produced above.
       {
         ShardedTransactionDatabase sharded =
             ShardedTransactionDatabase::Split(db, shards);
-        PartitionOptions opts;
-        opts.border_via_transversals = true;
-        PartitionResult r = MinePartitioned(&sharded, minsup, opts);
-        EXPECT_EQ(base.negative_border, r.negative_border)
+        PartitionResult r = MinePartitioned(&sharded, minsup);
+        BergeTransversals berge;
+        std::vector<Bitset> via =
+            NegativeBorderViaTransversals(r.maximal, db.num_items(), &berge);
+        CanonicalSort(&via);
+        EXPECT_EQ(via, r.negative_border)
             << "transversal border differs at K=" << shards;
       }
     }

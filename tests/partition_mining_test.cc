@@ -1,19 +1,16 @@
-// Tests for the sharded counting backend (mining/sharded_db.h) and the
-// two-phase partition miner (mining/partition.h): manifest geometry,
-// sharded counting primitives vs the single-database reference, the
-// sharded oracle driving the unchanged levelwise algorithm, and the
-// partition miner's agreement with Apriori plus its phase-2 query budget.
+// Tests for the sharded store (mining/sharded_db.h) and the two-phase
+// partition miner (mining/partition.h): manifest geometry, the partition
+// lemma's local thresholds, and the partition miner's agreement with
+// Apriori plus its phase-2 query budget.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
-#include "core/levelwise.h"
-#include "core/oracle.h"
+#include "core/theory.h"
+#include "hypergraph/transversal_berge.h"
 #include "mining/apriori.h"
-#include "mining/frequency_oracle.h"
 #include "mining/generators.h"
 #include "mining/partition.h"
 #include "mining/rules.h"
@@ -79,8 +76,14 @@ TEST(ShardedDbTest, MoreShardsThanRowsYieldsEmptyShards) {
     total += sharded.shard(s).num_transactions();
   }
   EXPECT_EQ(total, 5u);
-  // Counting still works with empty shards present.
-  EXPECT_EQ(sharded.Support(Bitset(4, {1})), db.Support(Bitset(4, {1})));
+  // Mining still works with empty shards present.
+  AprioriResult expected = MineFrequentSets(&db, 2);
+  PartitionResult r = MinePartitioned(&sharded, 2);
+  ASSERT_EQ(r.frequent.size(), expected.frequent.size());
+  for (size_t i = 0; i < r.frequent.size(); ++i) {
+    EXPECT_EQ(r.frequent[i].items, expected.frequent[i].items);
+    EXPECT_EQ(r.frequent[i].support, expected.frequent[i].support);
+  }
 }
 
 TEST(ShardedDbTest, ZeroShardCountClampsToOne) {
@@ -89,44 +92,6 @@ TEST(ShardedDbTest, ZeroShardCountClampsToOne) {
       ShardedTransactionDatabase::Split(db, 0);
   EXPECT_EQ(sharded.num_shards(), 1u);
   EXPECT_EQ(sharded.shard(0).num_transactions(), 5u);
-}
-
-TEST(ShardedDbTest, CountingPrimitivesMatchSingleDatabase) {
-  TransactionDatabase db = QuestDatabase(5);
-  db.EnsureVerticalIndex();
-  ShardedTransactionDatabase sharded =
-      ShardedTransactionDatabase::Split(db, 4);
-  sharded.EnsureVerticalIndexes();
-
-  Rng rng(11);
-  std::vector<Bitset> probes;
-  probes.push_back(Bitset(db.num_items()));  // ∅
-  for (int i = 0; i < 100; ++i) {
-    size_t size = 1 + rng.UniformIndex(4);
-    probes.push_back(Bitset::FromIndices(
-        db.num_items(),
-        rng.SampleWithoutReplacement(db.num_items(), size)));
-  }
-  for (const Bitset& x : probes) {
-    size_t expected = db.Support(x);
-    EXPECT_EQ(sharded.Support(x), expected);
-    for (size_t threshold :
-         {size_t{0}, size_t{1}, expected, expected + 1, size_t{800}}) {
-      EXPECT_EQ(sharded.SupportAtLeastPrebuilt(x, threshold),
-                expected >= threshold)
-          << x.ToString() << " support=" << expected
-          << " threshold=" << threshold;
-    }
-  }
-  // Batched exact counting, at several thread counts.
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    ThreadPool pool(threads);
-    std::vector<size_t> counts = sharded.CountSupports(probes, &pool);
-    ASSERT_EQ(counts.size(), probes.size());
-    for (size_t i = 0; i < probes.size(); ++i) {
-      EXPECT_EQ(counts[i], db.Support(probes[i]));
-    }
-  }
 }
 
 TEST(ShardedDbTest, LocalThresholdsSatisfyPartitionLemma) {
@@ -147,31 +112,6 @@ TEST(ShardedDbTest, LocalThresholdsSatisfyPartitionLemma) {
       }
       EXPECT_LT(slack, std::max<size_t>(minsup, 1));
     }
-  }
-}
-
-// The sharded store behind the standard InterestingnessOracle interface
-// drives the unchanged levelwise algorithm to the same theory as the
-// single-database FrequencyOracle.
-TEST(ShardedOracleTest, LevelwiseRunsUnchangedOnShardedBackend) {
-  TransactionDatabase db = QuestDatabase(9);
-  const size_t minsup = 20;
-  ThreadPool pool(4);
-  FrequencyOracle flat(&db, minsup, &pool);
-  LevelwiseResult expected = RunLevelwise(&flat);
-
-  for (size_t k : {size_t{1}, size_t{3}, size_t{8}}) {
-    ShardedTransactionDatabase sharded =
-        ShardedTransactionDatabase::Split(db, k);
-    ShardedFrequencyOracle oracle(&sharded, minsup, &pool);
-    CountingOracle counter(&oracle);
-    LevelwiseResult r = RunLevelwise(&counter);
-    EXPECT_EQ(expected.theory, r.theory) << "K=" << k;
-    EXPECT_EQ(expected.positive_border, r.positive_border) << "K=" << k;
-    EXPECT_EQ(expected.negative_border, r.negative_border) << "K=" << k;
-    // Theorem 10 holds regardless of the backend.
-    EXPECT_EQ(counter.raw_queries(),
-              r.theory.size() + r.negative_border.size());
   }
 }
 
@@ -292,24 +232,19 @@ TEST(PartitionMinerTest, ReuseAccountingIsConsistent) {
   }
 }
 
-// --exact-border: the Theorem 7 transversal construction and the default
-// apriori-gen derivation produce the identical Bd-(Th).
+// The Theorem 7 transversal construction and the level loop's
+// apriori-gen rejects produce the identical Bd-(Th).
 TEST(PartitionMinerTest, TransversalBorderMatchesGeneration) {
   TransactionDatabase db = QuestDatabase(29);
   for (size_t k : {size_t{1}, size_t{3}}) {
     ShardedTransactionDatabase sharded =
         ShardedTransactionDatabase::Split(db, k);
     PartitionResult generated = MinePartitioned(&sharded, 20);
-    PartitionOptions opts;
-    opts.border_via_transversals = true;
-    PartitionResult exact = MinePartitioned(&sharded, 20, opts);
-    EXPECT_EQ(generated.negative_border, exact.negative_border)
-        << "K=" << k;
-    ASSERT_EQ(generated.frequent.size(), exact.frequent.size());
-    for (size_t i = 0; i < generated.frequent.size(); ++i) {
-      EXPECT_EQ(generated.frequent[i].items, exact.frequent[i].items);
-      EXPECT_EQ(generated.frequent[i].support, exact.frequent[i].support);
-    }
+    BergeTransversals berge;
+    std::vector<Bitset> exact = NegativeBorderViaTransversals(
+        generated.maximal, db.num_items(), &berge);
+    CanonicalSort(&exact);
+    EXPECT_EQ(generated.negative_border, exact) << "K=" << k;
   }
 }
 
